@@ -1,4 +1,4 @@
-// Telemetry overhead on the session-multiplex workload (DESIGN.md §5.11).
+// Telemetry overhead on the session-multiplex workload (DESIGN.md §5.10).
 //
 // The observability layer promises that enabling it costs almost nothing:
 // counters are relaxed sharded adds, gauges are relaxed stores, stage spans

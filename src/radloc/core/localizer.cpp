@@ -29,65 +29,6 @@ MultiSourceLocalizer::MultiSourceLocalizer(const Environment& env, std::vector<S
   // knob (Table I's scaling parameter) for the whole measurement hot path.
   filter_.set_thread_pool(shared_pool != nullptr ? shared_pool : &pool_);
   for (auto& buf : recent_readings_) buf.assign(cfg_.history_window, 0.0);
-  if (cfg_.filter.adaptive_budget) {
-    BudgetControllerConfig bc;
-    bc.min_particles = cfg_.filter.min_particles;
-    bc.max_particles = cfg_.filter.max_particles;
-    bc.kld_epsilon = cfg_.filter.kld_epsilon;
-    bc.kld_quantile = cfg_.filter.kld_quantile;
-    // 0 derives a pitch finer than the filter's spatial index: a fusion disk
-    // spans several bins, so occupancy tracks posterior spread, not disks.
-    bc.bin_size = cfg_.filter.budget_bin_size > 0.0 ? cfg_.filter.budget_bin_size
-                                                    : cfg_.filter.fusion_range / 4.0;
-    bc.stability_window = cfg_.filter.budget_stability_window;
-    bc.mode_displacement = cfg_.filter.budget_mode_displacement;
-    bc.ess_floor = cfg_.filter.budget_ess_floor;
-    budget_ = std::make_unique<BudgetController>(env.bounds(), bc);
-    // The stability signal only needs the strong clusters located to well
-    // under budget_mode_displacement — a reduced seed sweep with coarse
-    // convergence keeps the controller's mean-shift an order of magnitude
-    // cheaper than estimate()'s full-precision run.
-    MeanShiftConfig mc = cfg_.meanshift;
-    mc.max_seeds = std::min<std::size_t>(mc.max_seeds, 16);
-    mc.convergence_eps = std::max(mc.convergence_eps, 0.2);
-    mc.max_iterations = std::min<std::size_t>(mc.max_iterations, 60);
-    budget_estimator_ = std::make_unique<MeanShiftEstimator>(
-        env.bounds(), mc, shared_pool != nullptr ? *shared_pool : pool_);
-  }
-}
-
-void MultiSourceLocalizer::maybe_adapt_budget(std::uint64_t prev_iteration) {
-  if (budget_ == nullptr) return;
-  // Interval-crossing test: equivalent to iteration % interval == 0 when the
-  // iteration advanced by one, and fires exactly once when a fused group
-  // jumps it across a boundary.
-  const std::uint64_t interval = cfg_.filter.budget_adapt_interval;
-  if (prev_iteration / interval == filter_.iteration() / interval) return;
-  // Span opens after the interval check: skipped readings cost nothing.
-  const obs::ScopedSpan span(tracer_, obs::Stage::kBudgetAdapt);
-  const std::size_t current = filter_.size();
-  const double ess_fraction =
-      filter_.effective_sample_size() / static_cast<double>(current);
-  // RAW mean-shift modes (pre detection gating): the stability signal must
-  // see weak modes too, and must not depend on the detection history state.
-  // The controller invokes the callback only when a shrink is on the table.
-  const auto modes = [this] {
-    return budget_estimator_->estimate(filter_.positions(), filter_.strengths(),
-                                       filter_.weights());
-  };
-  const std::size_t target = budget_->recommend(filter_.positions(), filter_.weights(),
-                                                ess_fraction, modes, current);
-  if (target != current) (void)filter_.resize_budget(target);
-}
-
-BudgetDiagnostics MultiSourceLocalizer::budget_diagnostics() const {
-  BudgetDiagnostics d;
-  if (budget_ != nullptr) d = budget_->diagnostics();
-  d.current_budget = filter_.size();
-  if (budget_ == nullptr) {
-    d.ess_fraction = filter_.effective_sample_size() / static_cast<double>(filter_.size());
-  }
-  return d;
 }
 
 void MultiSourceLocalizer::note_reading(const Measurement& m) {
@@ -100,25 +41,21 @@ void MultiSourceLocalizer::note_reading(const Measurement& m) {
 }
 
 void MultiSourceLocalizer::apply_fused_group(std::span<const Measurement> group) {
-  const std::uint64_t prev = filter_.iteration();
   (void)filter_.process_fused(group);
   // Detection history sees every reading individually — the fusing is a
   // weight-update implementation detail, not an evidence reduction.
   for (const auto& m : group) note_reading(m);
-  maybe_adapt_budget(prev);
 }
 
 void MultiSourceLocalizer::process(const Measurement& m) {
   filter_.process(m);
   note_reading(m);
-  maybe_adapt_budget(filter_.iteration() - 1);
 }
 
 ReadingFault MultiSourceLocalizer::try_process(const Measurement& m) {
   const ReadingFault fault = filter_.try_process(m);
   if (fault != ReadingFault::kNone) return fault;
   note_reading(m);
-  maybe_adapt_budget(filter_.iteration() - 1);
   return ReadingFault::kNone;
 }
 

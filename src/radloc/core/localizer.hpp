@@ -16,11 +16,9 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "radloc/adaptive/budget_controller.hpp"
 #include "radloc/concurrency/thread_pool.hpp"
 #include "radloc/filter/particle_filter.hpp"
 #include "radloc/meanshift/meanshift.hpp"
@@ -145,38 +143,21 @@ class MultiSourceLocalizer {
   [[nodiscard]] const LocalizerConfig& config() const { return cfg_; }
   [[nodiscard]] std::uint64_t iterations() const { return filter_.iteration(); }
 
-  /// Telemetry snapshot of the adaptive particle budget. With
-  /// cfg.filter.adaptive_budget off this still reports the (fixed) budget
-  /// and live ESS fraction; the controller fields stay at their defaults.
-  /// With it on, every cfg.filter.budget_adapt_interval-th reading runs the
-  /// BudgetController (occupied-bin KLD bound + ESS floor + raw mean-shift
-  /// mode stability) and applies its recommendation via
-  /// FusionParticleFilter::resize_budget — deterministic, so results remain
-  /// bit-identical across thread counts.
-  [[nodiscard]] BudgetDiagnostics budget_diagnostics() const;
-
   /// Borrows a stage tracer for pipeline spans: the filter's per-reading
-  /// stages plus this layer's mean-shift and budget-adapt stages
-  /// (DESIGN.md §5.11). nullptr disables. Passive — results stay
-  /// bit-identical with tracing on. The tracer must outlive the localizer;
-  /// single-threaded tracer contract as in obs/trace.hpp.
+  /// stages plus this layer's mean-shift stage (DESIGN.md §5.10). nullptr
+  /// disables. Passive — results stay bit-identical with tracing on. The
+  /// tracer must outlive the localizer; single-threaded tracer contract as
+  /// in obs/trace.hpp.
   void set_stage_tracer(obs::StageTracer* tracer) {
     tracer_ = tracer;
     filter_.set_stage_tracer(tracer);
   }
 
  private:
-  /// Runs the budget controller when it is enabled and the adapt interval
-  /// was crossed between `prev_iteration` and the filter's current
-  /// iteration. For single readings (prev = current - 1) this fires exactly
-  /// when iteration % interval == 0, the historical cadence; fused groups
-  /// advance the iteration by K at once and still fire at most once per
-  /// crossing instead of skipping boundaries that fall inside the jump.
-  void maybe_adapt_budget(std::uint64_t prev_iteration);
   /// Records `m` in the per-sensor detection-history ring.
   void note_reading(const Measurement& m);
   /// Applies a validated same-sensor run as one fused update, then updates
-  /// the detection history and budget cadence for every reading in it.
+  /// the detection history for every reading in it.
   void apply_fused_group(std::span<const Measurement> group);
 
   LocalizerConfig cfg_;
@@ -184,11 +165,6 @@ class MultiSourceLocalizer {
   FusionParticleFilter filter_;
   obs::StageTracer* tracer_ = nullptr;  ///< null = tracing off
   MeanShiftEstimator estimator_;
-  std::unique_ptr<BudgetController> budget_;  ///< null unless adaptive_budget
-  /// Reduced-seed mean-shift for the controller's stability signal (null
-  /// unless adaptive_budget): the controller only needs the strong clusters,
-  /// not estimate()'s full seed sweep, and it runs every adapt interval.
-  std::unique_ptr<MeanShiftEstimator> budget_estimator_;
   // Per-sensor ring buffers of the most recent readings (detection test).
   std::vector<std::vector<double>> recent_readings_;
   std::vector<std::size_t> recent_head_;

@@ -58,36 +58,18 @@ struct FilterConfig {
   /// is more accurate; the per-sensor build cost grows as 1/cell^2.
   double transmission_cache_cell = 2.0;
 
-  // --- Generation-versioned scoring cache + fused same-sensor updates. ---
-
-  /// Capacity (entries) of the per-sensor scoring cache: each entry memoizes
-  /// one origin's fusion subset and Eq.-1/Eq.-3 hypothesis rates, valid while
-  /// the particle generation is unchanged (no resample/jitter/evolve/resize
-  /// since they were computed — the ESS resample gate is what creates long
-  /// same-generation stretches). A hit skips the spatial query, the SoA
-  /// gather, the transmission lookups, and the rate kernel, and jumps
-  /// straight to the Poisson scoring — bit-identical to recomputing, so the
-  /// knob is pure speed. 0 (default) disables the cache: the seed path.
-  /// The RADLOC_SCORING_CACHE environment variable, when set to a positive
-  /// entry count, overrides a default-0 config (benches/CI force the cache
-  /// on fleet-wide without touching configs; an explicit non-zero config
-  /// value always wins).
-  std::size_t scoring_cache_entries = 0;
-
   /// Fuse consecutive same-sensor readings in the batch ingest paths
   /// (process_all / try_process_all and the service drain) into ONE weight
   /// update: log-likelihoods add, so K readings cost one subset traversal,
   /// one exp/renormalize pass, and at most one resample instead of K. The
   /// fused posterior equals the serial one up to floating-point reordering
-  /// (tolerance-pinned, DESIGN.md §5.10) and up to resample placement: the
+  /// (tolerance-pinned, DESIGN.md §5.9) and up to resample placement: the
   /// serial path may resample between the K readings, the fused path at most
   /// once after them — both are valid filter iterations over the same
   /// evidence. Requires a static movement model (per-reading prediction
   /// would be skipped otherwise; the filter falls back to serial updates
   /// when a non-static model is set). Default off: the seed path.
   bool fused_batch_updates = false;
-
-  // --- ESS-gated resampling (adaptive/budget_controller.hpp rationale). ---
 
   /// Skip the local systematic resample + jitter when the fusion subset's
   /// effective sample size fraction ESS/|P'| exceeds this threshold — a
@@ -96,50 +78,12 @@ struct FilterConfig {
   /// the default path resamples every update, bit-identical to the seed.
   double ess_resample_threshold = 1.0;
 
-  // --- Adaptive particle budget (KLD-sampling controller; opt-in). ---
-
-  /// Enable the budget controller: the localizer periodically resizes the
-  /// particle count between min_particles/max_particles based on posterior
-  /// complexity (occupied bins), ESS, and mean-shift mode stability. Off by
-  /// default: the filter keeps num_particles forever, exactly the seed.
-  bool adaptive_budget = false;
-
-  /// Budget bounds. With adaptive_budget on, num_particles (the starting
-  /// budget) must lie in [min_particles, max_particles].
-  std::size_t min_particles = 500;
-  std::size_t max_particles = 4000;
-
-  /// KLD-sampling bound (Fox 2003): with k occupied bins the target count is
-  /// (k-1)/(2*eps) * (1 - 2/(9(k-1)) + sqrt(2/(9(k-1))) * z)^3, the particle
-  /// count needed to keep the K-L divergence between the sample distribution
-  /// and the binned posterior below eps with confidence quantile z.
-  double kld_epsilon = 0.05;
-  /// Upper standard-normal quantile z_{1-delta}; 2.33 is the 99% bound.
-  double kld_quantile = 2.33;
-
-  /// Bin pitch for the occupancy count, in length units. 0 (default) derives
-  /// fusion_range / 4 — finer than the particle index so a fusion disk spans
-  /// several bins and occupancy tracks posterior spread, not disk count.
-  double budget_bin_size = 0.0;
-
-  /// Controller cadence: run once every this many filter iterations
-  /// (readings). The default ~ two thirds of a time step of the paper's 6x6
-  /// grid, frequent enough that the budget settles within a few steps.
-  std::size_t budget_adapt_interval = 24;
-
-  /// Shrinking requires this many consecutive controller runs with a stable
-  /// strong-mode set (count within +/-1, displacement under
-  /// budget_mode_displacement); the same number of consecutive CHURNING runs
-  /// grows the budget instead — hysteresis in both directions.
-  std::size_t budget_stability_window = 2;
-
-  /// Max nearest-mode displacement (length units) between consecutive
-  /// controller runs for the mode set to still count as stable.
-  double budget_mode_displacement = 5.0;
-
-  /// Degeneracy alarm: global ESS fraction below this floor grows the budget
-  /// by 1.5x toward max_particles regardless of the KLD target.
-  double budget_ess_floor = 0.25;
+  // The scoring cache and the adaptive particle budget were removed
+  // (DESIGN.md §5.9). The frozen end-to-end benchmark (bench/e2e) still
+  // records these two names in its result headers, so they survive as
+  // constants that cannot be set.
+  static constexpr std::size_t scoring_cache_entries = 0;
+  static constexpr bool adaptive_budget = false;
 };
 
 }  // namespace radloc

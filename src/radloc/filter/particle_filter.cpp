@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <numeric>
 
 #include "radloc/common/math.hpp"
@@ -20,26 +18,6 @@ namespace {
 // Grid pitch for the particle index: half the fusion range balances cell
 // occupancy against the number of cells scanned per query.
 double index_cell_size(const FilterConfig& cfg) { return std::max(cfg.fusion_range / 2.0, 1.0); }
-
-// RADLOC_SCORING_CACHE: entry-count override applied only when the config
-// leaves scoring_cache_entries at its default 0 (safe fleet-wide because a
-// cache hit is bit-identical to recomputing). Read per call — constructors
-// are cold — and clamped to a sane entry count.
-std::size_t env_scoring_cache_entries() {
-  const char* v = std::getenv("RADLOC_SCORING_CACHE");
-  if (v == nullptr || *v == '\0') return 0;
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(v, &end, 10);
-  if (end == v || *end != '\0') {
-    std::fprintf(stderr,
-                 "radloc: ignoring unrecognized RADLOC_SCORING_CACHE='%s' "
-                 "(expected an entry count); cache stays off\n",
-                 v);
-    return 0;
-  }
-  constexpr unsigned long long kMaxEntries = 4096;
-  return static_cast<std::size_t>(std::min(n, kMaxEntries));
-}
 
 }  // namespace
 
@@ -59,31 +37,8 @@ FusionParticleFilter::FusionParticleFilter(const Environment& env, std::vector<S
           "random replacement fraction must be in [0, 1)");
   require(cfg_.strength_min > 0.0 && cfg_.strength_max >= cfg_.strength_min,
           "strength prior range invalid");
-  // Budget fields are validated unconditionally — a config that would blow
-  // up the moment adaptive_budget flips on is rejected up front, matching
-  // the MeasurementValidator philosophy of failing at the choke point.
   require(std::isfinite(cfg_.ess_resample_threshold) && cfg_.ess_resample_threshold > 0.0,
           "ESS resample threshold must be finite and positive");
-  require(cfg_.min_particles > 0 && cfg_.max_particles > 0, "particle budgets must be non-zero");
-  require(cfg_.min_particles <= cfg_.max_particles,
-          "min_particles must not exceed max_particles");
-  require(std::isfinite(cfg_.kld_epsilon) && cfg_.kld_epsilon > 0.0,
-          "KLD epsilon must be finite and positive");
-  require(std::isfinite(cfg_.kld_quantile) && cfg_.kld_quantile > 0.0,
-          "KLD quantile must be finite and positive");
-  require(std::isfinite(cfg_.budget_bin_size) && cfg_.budget_bin_size >= 0.0,
-          "budget bin size must be finite and non-negative");
-  require(cfg_.budget_adapt_interval > 0, "budget adapt interval must be non-zero");
-  require(cfg_.budget_stability_window > 0, "budget stability window must be non-zero");
-  require(std::isfinite(cfg_.budget_mode_displacement) && cfg_.budget_mode_displacement >= 0.0,
-          "budget mode displacement must be finite and non-negative");
-  require(std::isfinite(cfg_.budget_ess_floor) && cfg_.budget_ess_floor >= 0.0 &&
-              cfg_.budget_ess_floor <= 1.0,
-          "budget ESS floor must be in [0, 1]");
-  if (cfg_.adaptive_budget) {
-    require(cfg_.num_particles >= cfg_.min_particles && cfg_.num_particles <= cfg_.max_particles,
-            "num_particles must start inside [min_particles, max_particles]");
-  }
   // An empty sensor list is allowed: mobile-detector users feed readings
   // through process_reading() and never reference a sensor id.
   for (std::size_t i = 0; i < sensors_.size(); ++i) {
@@ -92,21 +47,11 @@ FusionParticleFilter::FusionParticleFilter(const Environment& env, std::vector<S
   if (cfg_.use_known_obstacles && cfg_.use_transmission_cache) {
     cache_ = std::make_unique<TransmissionCache>(*env_, cfg_.transmission_cache_cell);
   }
-  scoring_cache_capacity_ =
-      cfg_.scoring_cache_entries > 0 ? cfg_.scoring_cache_entries : env_scoring_cache_entries();
-  score_cache_.reserve(std::min<std::size_t>(scoring_cache_capacity_, 64));
   initialize_particles();
 }
 
 void FusionParticleFilter::initialize_particles() {
   const std::size_t np = cfg_.num_particles;
-  if (cfg_.adaptive_budget) {
-    // Reserve the cap once so later resize_budget() calls never reallocate
-    // the SoA arrays — the zero-allocation steady state survives resizes.
-    positions_.reserve(cfg_.max_particles);
-    strengths_.reserve(cfg_.max_particles);
-    weights_.reserve(cfg_.max_particles);
-  }
   positions_.resize(np);
   strengths_.resize(np);
   weights_.assign(np, 1.0 / static_cast<double>(np));
@@ -151,7 +96,7 @@ void FusionParticleFilter::set_movement_model(std::unique_ptr<MovementModel> mod
   require(model != nullptr, "movement model must not be null");
   movement_ = std::move(model);
   // Hoisted once here instead of a dynamic_cast per reading in the predict
-  // step; also gates the scoring cache and fused updates.
+  // step; also gates fused updates.
   movement_is_static_ = dynamic_cast<const StaticMovement*>(movement_.get()) != nullptr;
 }
 
@@ -203,7 +148,8 @@ std::size_t FusionParticleFilter::process_reading_impl(const Point2& at,
   // log(cpm!) is constant across the subset — pay lgamma once, not per
   // particle (PoissonLogPmf evaluates bit-identically to poisson_log_pmf).
   const PoissonLogPmf log_pmf(cpm);
-  return score_reading(at, response, log_pmf.count(), 1.0, log_pmf.log_k_factorial());
+  if (!select_and_rate(at, response)) return 0;
+  return apply_scores(log_pmf.count(), 1.0, log_pmf.log_k_factorial());
 }
 
 std::size_t FusionParticleFilter::process_fused(std::span<const Measurement> group) {
@@ -237,97 +183,12 @@ std::size_t FusionParticleFilter::process_fused(std::span<const Measurement> gro
   iteration_ += group.size();  // the stream clock counts readings, not updates
   ++fused_groups_;
   fused_readings_ += group.size();
-  return score_reading(sensor.pos, sensor.response, k_sum, static_cast<double>(group.size()),
-                       log_fact_sum);
+  if (!select_and_rate(sensor.pos, sensor.response)) return 0;
+  return apply_scores(k_sum, static_cast<double>(group.size()), log_fact_sum);
 }
 
-FusionParticleFilter::CacheEntry* FusionParticleFilter::cache_find(const Point2& at,
-                                                                   const SensorResponse& response) {
-  ++cache_lookups_;
-  ++cache_tick_;
-  for (auto& e : score_cache_) {
-    if (e.valid && e.origin.x == at.x && e.origin.y == at.y &&
-        e.efficiency == response.efficiency && e.background == response.background_cpm &&
-        e.generation == particle_generation_ && e.env_revision == env_->revision()) {
-      e.last_used = cache_tick_;
-      ++cache_hits_;
-      return &e;
-    }
-  }
-  return nullptr;
-}
-
-FusionParticleFilter::CacheEntry* FusionParticleFilter::cache_begin_store(
-    const Point2& at, const SensorResponse& response) {
-  CacheEntry* victim = nullptr;
-  // Reuse the slot already keyed to this origin (stale or not) so a sensor
-  // never occupies two entries; else an unused slot; else grow; else LRU.
-  for (auto& e : score_cache_) {
-    if (e.origin.x == at.x && e.origin.y == at.y && e.efficiency == response.efficiency &&
-        e.background == response.background_cpm) {
-      victim = &e;
-      break;
-    }
-  }
-  if (victim == nullptr) {
-    for (auto& e : score_cache_) {
-      if (!e.valid) {
-        victim = &e;
-        break;
-      }
-    }
-  }
-  if (victim == nullptr && score_cache_.size() < scoring_cache_capacity_) {
-    victim = &score_cache_.emplace_back();
-  }
-  if (victim == nullptr) {
-    victim = &*std::min_element(
-        score_cache_.begin(), score_cache_.end(),
-        [](const CacheEntry& a, const CacheEntry& b) { return a.last_used < b.last_used; });
-  }
-  victim->valid = false;
-  return victim;
-}
-
-void FusionParticleFilter::cache_commit(CacheEntry& e, const Point2& at,
-                                        const SensorResponse& response) {
-  e.origin = at;
-  e.efficiency = response.efficiency;
-  e.background = response.background_cpm;
-  e.generation = particle_generation_;
-  e.env_revision = env_->revision();
-  e.last_used = cache_tick_;
-  e.valid = true;
-}
-
-std::size_t FusionParticleFilter::score_reading(const Point2& at, const SensorResponse& response,
-                                                double k_sum, double reps, double log_fact_sum) {
-  if (cache_enabled()) {
-    if (CacheEntry* hit = cache_find(at, response)) {
-      // Skip the spatial query, the gather, the transmission lookups, and
-      // the rate kernel; the Poisson scoring still runs against the CURRENT
-      // weights. An empty memoized subset is the cheapest hit of all.
-      if (hit->subset.empty()) return 0;
-      return apply_scores(hit->subset, hit->rates, k_sum, reps, log_fact_sum, hit->kernel_pmf);
-    }
-    CacheEntry* e = cache_begin_store(at, response);
-    const bool nonempty = select_and_rate(at, response, e->rates, e->kernel_pmf);
-    e->subset.assign(subset_.begin(), subset_.end());
-    if (!nonempty) e->rates.clear();
-    cache_commit(*e, at, response);
-    if (!nonempty) return 0;
-    return apply_scores(e->subset, e->rates, k_sum, reps, log_fact_sum, e->kernel_pmf);
-  }
-  bool kernel_pmf = false;
-  if (!select_and_rate(at, response, rates_scratch_, kernel_pmf)) return 0;
-  return apply_scores(subset_, rates_scratch_, k_sum, reps, log_fact_sum, kernel_pmf);
-}
-
-bool FusionParticleFilter::select_and_rate(const Point2& at, const SensorResponse& response,
-                                           simd::AVector<double>& rates_out,
-                                           bool& kernel_pmf_out) {
-  // Span covers the memoizable stage the scoring cache skips on a hit:
-  // spatial selection, predict, and the hypothesis-rate kernels.
+bool FusionParticleFilter::select_and_rate(const Point2& at, const SensorResponse& response) {
+  // Span covers spatial selection, predict, and the hypothesis-rate kernels.
   const obs::ScopedSpan span(tracer_, obs::Stage::kFusionQuery);
   if (grid_dirty_) {
     grid_.rebuild(positions_);
@@ -345,7 +206,6 @@ bool FusionParticleFilter::select_and_rate(const Point2& at, const SensorRespons
       positions_[i] = env_->bounds().clamp(positions_[i]);
     }
     grid_dirty_ = true;
-    ++particle_generation_;
   }
 
   // The transmission field for this origin is prepared serially here; the
@@ -361,7 +221,7 @@ bool FusionParticleFilter::select_and_rate(const Point2& at, const SensorRespons
   }
 
   const std::size_t n = subset_.size();
-  rates_out.resize(n);
+  rates_.resize(n);
   const simd::Kernels& ker = simd::kernels();
 
   // Rates run through the batch kernels (simd/simd.hpp) whenever the rate
@@ -370,7 +230,6 @@ bool FusionParticleFilter::select_and_rate(const Point2& at, const SensorRespons
   // field keeps the per-particle exact path. The scalar tier replays the
   // seed expressions bit for bit; vector tiers are an explicit opt-in.
   const bool batched = !cfg_.use_known_obstacles || field != nullptr;
-  kernel_pmf_out = batched;
   if (batched) {
     scratch_x_.resize(n);
     scratch_y_.resize(n);
@@ -378,7 +237,7 @@ bool FusionParticleFilter::select_and_rate(const Point2& at, const SensorRespons
     const bool use_field = cfg_.use_known_obstacles;
     if (use_field) scratch_t_.resize(n);
     simd::assert_vector_aligned(scratch_x_.data());
-    simd::assert_vector_aligned(rates_out.data());
+    simd::assert_vector_aligned(rates_.data());
     const double scale = kMicroCurieToCpm * response.efficiency;
     const simd::BilinearGrid grid = use_field ? cache->grid_view(*field) : simd::BilinearGrid{};
     const auto rate_chunk = [&](std::size_t begin, std::size_t end) {
@@ -400,7 +259,7 @@ bool FusionParticleFilter::select_and_rate(const Point2& at, const SensorRespons
         gt = t;
       }
       ker.hypothesis_rates(at.x, at.y, scale, response.background_cpm, gx, gy, gs, gt,
-                           rates_out.data() + begin, len);
+                           rates_.data() + begin, len);
     };
     if (pool_ != nullptr) {
       // Chunks write disjoint slots; kernels are elementwise with padded
@@ -414,7 +273,7 @@ bool FusionParticleFilter::select_and_rate(const Point2& at, const SensorRespons
     const auto rate_chunk = [&](std::size_t begin, std::size_t end) {
       for (std::size_t k = begin; k < end; ++k) {
         const auto i = subset_[k];
-        rates_out[k] = hypothesis_rate(at, response, positions_[i], strengths_[i], cache, field);
+        rates_[k] = hypothesis_rate(at, response, positions_[i], strengths_[i], cache, field);
       }
     };
     if (pool_ != nullptr) {
@@ -426,9 +285,7 @@ bool FusionParticleFilter::select_and_rate(const Point2& at, const SensorRespons
   return true;
 }
 
-std::size_t FusionParticleFilter::apply_scores(std::span<const std::uint32_t> subset,
-                                               const simd::AVector<double>& rates, double k_sum,
-                                               double reps, double log_fact_sum, bool kernel_pmf) {
+std::size_t FusionParticleFilter::apply_scores(double k_sum, double reps, double log_fact_sum) {
   // The weight-update span covers Poisson scoring through the resample
   // decision; when the resample runs, its span nests inside this one.
   const obs::ScopedSpan span(tracer_, obs::Stage::kWeightUpdate);
@@ -438,6 +295,7 @@ std::size_t FusionParticleFilter::apply_scores(std::span<const std::uint32_t> su
   // explicitly below, so the rescaling cannot tilt the subset-vs-rest
   // balance (the paper normalizes globally after merging; preserving subset
   // mass keeps the same invariant without underflow).
+  const std::span<const std::uint32_t> subset = subset_;
   const double subset_mass_before =
       std::accumulate(subset.begin(), subset.end(), 0.0,
                       [&](double acc, std::uint32_t i) { return acc + weights_[i]; });
@@ -447,20 +305,16 @@ std::size_t FusionParticleFilter::apply_scores(std::span<const std::uint32_t> su
   subset_weights_.resize(n);
   simd::assert_vector_aligned(subset_weights_.data());
   const simd::Kernels& ker = simd::kernels();
-  // The batch-kernel flavor scores through the active tier; the exact-
-  // geometry flavor replays the seed's per-particle scalar PoissonLogPmf
-  // (the scalar kernel is bit-identical to it) regardless of tier.
-  const simd::Kernels& pker = kernel_pmf ? ker : simd::kernels_for(simd::Tier::kScalar);
   const bool fused = reps != 1.0;
   const auto pmf_chunk = [&](std::size_t begin, std::size_t end) {
     const std::size_t len = end - begin;
     if (len == 0) return;
     if (fused) {
-      pker.poisson_log_pmf_fused(k_sum, reps, log_fact_sum, rates.data() + begin,
-                                 subset_weights_.data() + begin, len);
+      ker.poisson_log_pmf_fused(k_sum, reps, log_fact_sum, rates_.data() + begin,
+                                subset_weights_.data() + begin, len);
     } else {
-      pker.poisson_log_pmf(k_sum, log_fact_sum, rates.data() + begin,
-                           subset_weights_.data() + begin, len);
+      ker.poisson_log_pmf(k_sum, log_fact_sum, rates_.data() + begin,
+                          subset_weights_.data() + begin, len);
     }
   };
   if (pool_ != nullptr) {
@@ -500,8 +354,7 @@ std::size_t FusionParticleFilter::apply_scores(std::span<const std::uint32_t> su
     if (sum_sq > 0.0 &&
         new_mass * new_mass > cfg_.ess_resample_threshold * static_cast<double>(n) * sum_sq) {
       // Skip the resample: no RNG consumed; positions unchanged by this
-      // branch, so the grid stays valid unless predict already dirtied it —
-      // and the particle generation is unchanged, so cache entries survive.
+      // branch, so the grid stays valid unless predict already dirtied it.
       ++resamples_skipped_;
       return subset.size();
     }
@@ -563,60 +416,6 @@ void FusionParticleFilter::resample_subset(std::span<const std::uint32_t> subset
     strengths_[slot] = drawn[k].strength;
     weights_[slot] = w;
   }
-  // Positions/strengths changed: every scoring-cache entry is now stale
-  // (random replacement can move a particle into ANY fusion disk, so
-  // per-entry overlap reasoning would be unsound — invalidate globally).
-  ++particle_generation_;
-}
-
-std::size_t FusionParticleFilter::resize_budget(std::size_t count) {
-  require(count > 0, "particle budget must be non-zero");
-  const std::size_t old_count = positions_.size();
-  if (count == old_count) return old_count;  // no-op: no RNG consumed
-
-  // Systematic resample over the FULL population re-represents the posterior
-  // at the new budget; duplicates get the same regularization jitter as the
-  // local resample (shrinking concentrates picks, growing duplicates them —
-  // jitter keeps diversity either way). No random replacement: a resize is a
-  // re-representation, not a filter iteration, so source-appearance
-  // exploration stays the local resample's job.
-  systematic_resample(rng_, weights_, count, picks_);
-  auto& drawn = drawn_;
-  drawn.clear();
-  drawn.reserve(picks_.size());
-  std::uint32_t prev = std::numeric_limits<std::uint32_t>::max();
-  for (const auto i : picks_) {
-    Drawn d{positions_[i], strengths_[i]};
-    if (i == prev) {
-      d.pos.x += normal(rng_, 0.0, cfg_.resample_noise_sigma);
-      d.pos.y += normal(rng_, 0.0, cfg_.resample_noise_sigma);
-      d.pos = env_->bounds().clamp(d.pos);
-      if (cfg_.strength_jitter_sigma > 0.0) {
-        d.strength *= std::exp(normal(rng_, 0.0, cfg_.strength_jitter_sigma));
-        d.strength = std::clamp(d.strength, cfg_.strength_min, cfg_.strength_max);
-      }
-    }
-    prev = i;
-    drawn.push_back(d);
-  }
-
-  positions_.resize(count);
-  strengths_.resize(count);
-  weights_.resize(count);
-  simd::assert_vector_aligned(positions_.data());
-  simd::assert_vector_aligned(strengths_.data());
-  simd::assert_vector_aligned(weights_.data());
-  const double w = 1.0 / static_cast<double>(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    positions_[k] = drawn[k].pos;
-    strengths_[k] = drawn[k].strength;
-    weights_[k] = w;
-  }
-  grid_dirty_ = true;
-  // A resize rewrites the whole population — and shrinking can leave cached
-  // subset indices out of range — so the generation must move.
-  ++particle_generation_;
-  return count;
 }
 
 }  // namespace radloc

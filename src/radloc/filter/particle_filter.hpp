@@ -71,7 +71,7 @@ class FusionParticleFilter {
   /// Fused multi-reading update: applies a group of measurements that all
   /// report from ONE sensor as a single weight update — per-particle
   /// log-likelihoods of the K readings add (they share the same hypothesis
-  /// rates within one particle generation), so the group costs one subset
+  /// rates while no particle moves), so the group costs one subset
   /// traversal, one Poisson/exp pass, and at most one resample instead of K.
   /// Every reading is validated (and tallied) exactly as process(); a group
   /// mixing sensor ids throws std::invalid_argument. Requires a static
@@ -94,9 +94,9 @@ class FusionParticleFilter {
   /// process_fused() — including readings whose fusion disk was empty or
   /// whose update degenerated and was skipped. This is intentional (pinned
   /// by tests): iteration() is the stream clock that keeps
-  /// MultiSourceLocalizer::iterations(), the adaptive-budget cadence, and
-  /// the service-layer accounting aligned with the number of readings fed,
-  /// not with the subset geometry of each one.
+  /// MultiSourceLocalizer::iterations() and the service-layer accounting
+  /// aligned with the number of readings fed, not with the subset geometry
+  /// of each one.
   [[nodiscard]] std::uint64_t iteration() const { return iteration_; }
 
   // Particle accessors (struct-of-arrays views; valid until next process()).
@@ -124,7 +124,7 @@ class FusionParticleFilter {
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
 
   /// Borrows a stage tracer for per-reading pipeline spans (validate,
-  /// fusion-disk query, weight update, resample — DESIGN.md §5.11); nullptr
+  /// fusion-disk query, weight update, resample — DESIGN.md §5.10); nullptr
   /// (the default) disables tracing at the cost of one pointer compare per
   /// stage. Instrumentation is passive: it never consumes RNG, reorders FP
   /// work, or changes control flow, so results stay bit-identical with any
@@ -143,12 +143,8 @@ class FusionParticleFilter {
   /// environment and cell size as cfg would build, prepared (serially, up
   /// front) for every origin the filter will query, and must outlive the
   /// filter. Origins the shared cache lacks fall back to exact geometry;
-  /// nullptr restores the owned cache. Swapping the transmission source
-  /// invalidates the scoring cache (memoized rates embed transmissions).
-  void set_shared_transmission_cache(const TransmissionCache* cache) {
-    shared_cache_ = cache;
-    for (auto& e : score_cache_) e.valid = false;
-  }
+  /// nullptr restores the owned cache.
+  void set_shared_transmission_cache(const TransmissionCache* cache) { shared_cache_ = cache; }
 
   /// Ingestion validator: per-fault accept/reject tallies for everything fed
   /// through process()/try_process()/process_reading().
@@ -158,15 +154,6 @@ class FusionParticleFilter {
   /// diagnostic (exposed for tests and ablations).
   [[nodiscard]] double effective_sample_size() const;
 
-  /// Resamples the WHOLE population down/up to `count` particles (systematic
-  /// over the global weights, duplicate jitter as in the local resample, no
-  /// random replacement) and resets weights to uniform 1/count. The budget
-  /// controller's resize primitive; also usable directly. `count` must be
-  /// in [1, max_particles] when adaptive_budget is on (capacity for
-  /// max_particles is reserved up front so steady-state resizes do not
-  /// allocate). Returns the new size.
-  std::size_t resize_budget(std::size_t count);
-
   // Work/skip counters for the throughput diagnostics and benches.
   /// Cumulative |P'| over all scored readings (particles-per-reading numerator).
   [[nodiscard]] std::uint64_t particles_scored() const { return particles_scored_; }
@@ -174,43 +161,18 @@ class FusionParticleFilter {
   [[nodiscard]] std::uint64_t resamples_performed() const { return resamples_performed_; }
   [[nodiscard]] std::uint64_t resamples_skipped() const { return resamples_skipped_; }
 
-  // Scoring-cache / fused-update telemetry (DESIGN.md §5.10).
-  /// Monotone particle-state version: bumped whenever positions or strengths
-  /// change (resample+jitter, movement evolution, resize_budget). Scoring-
-  /// cache entries are valid only while their recorded generation matches.
-  [[nodiscard]] std::uint64_t particle_generation() const { return particle_generation_; }
-  /// Cache lookups attempted / hits (lookups happen only when the cache is
-  /// enabled and the movement model is static).
-  [[nodiscard]] std::uint64_t scoring_cache_lookups() const { return cache_lookups_; }
-  [[nodiscard]] std::uint64_t scoring_cache_hits() const { return cache_hits_; }
   /// Fused groups applied (size >= 2 only) and the readings they covered.
   [[nodiscard]] std::uint64_t fused_groups() const { return fused_groups_; }
   [[nodiscard]] std::uint64_t fused_readings() const { return fused_readings_; }
+  /// Always 0; see FilterConfig::scoring_cache_entries.
+  static constexpr std::uint64_t scoring_cache_lookups() { return 0; }
+  static constexpr std::uint64_t scoring_cache_hits() { return 0; }
   /// True while the movement model is the identity StaticMovement — the
-  /// precondition for scoring-cache lookups and fused updates (hoisted from
-  /// the per-reading dynamic_cast the predict step used to pay).
+  /// precondition for fused updates (hoisted from the per-reading
+  /// dynamic_cast the predict step used to pay).
   [[nodiscard]] bool movement_is_static() const { return movement_is_static_; }
 
  private:
-  /// One scoring-cache entry: a sensor origin's fusion subset and per-
-  /// particle hypothesis rates, stamped with the particle generation and
-  /// environment revision they were computed under (DESIGN.md §5.10).
-  /// `rates` holds exactly subset.size() values; an entry with an empty
-  /// subset is still a valid (and cheap) hit — it memoizes "this disk is
-  /// empty at this generation".
-  struct CacheEntry {
-    Point2 origin{};
-    double efficiency = 0.0;
-    double background = 0.0;
-    std::uint64_t generation = 0;
-    std::uint64_t env_revision = 0;
-    std::uint64_t last_used = 0;  ///< lookup tick for LRU eviction
-    bool valid = false;
-    bool kernel_pmf = false;  ///< rates came from the batch-kernel path
-    std::vector<std::uint32_t> subset;
-    simd::AVector<double> rates;
-  };
-
   void initialize_particles();
   [[nodiscard]] double hypothesis_rate(const Point2& at, const SensorResponse& response,
                                        const Point2& pos, double strength,
@@ -222,39 +184,16 @@ class FusionParticleFilter {
   /// The filter iteration proper; input already validated.
   std::size_t process_reading_impl(const Point2& at, const SensorResponse& response, double cpm);
 
-  /// True when a cache lookup may be attempted for this reading: the cache
-  /// is configured and the movement model is static (per-reading evolution
-  /// would mutate positions mid-iteration, making memoized rates stale
-  /// within a single update).
-  [[nodiscard]] bool cache_enabled() const {
-    return scoring_cache_capacity_ > 0 && movement_is_static_;
-  }
-  /// Finds a fresh entry for (at, response) at the current generation /
-  /// env revision; bumps lookup counters. nullptr on miss.
-  CacheEntry* cache_find(const Point2& at, const SensorResponse& response);
-  /// Returns the entry to (over)write for (at, response): the matching slot
-  /// if one exists, else an unused/LRU victim. Marks it invalid; the caller
-  /// fills subset+rates and stamps it via cache_commit.
-  CacheEntry* cache_begin_store(const Point2& at, const SensorResponse& response);
-  void cache_commit(CacheEntry& e, const Point2& at, const SensorResponse& response);
-  /// The shared scoring core: cache lookup (when enabled), else selection +
-  /// rates, then the weight update. `k_sum`/`reps`/`log_fact_sum` describe
-  /// the reading group (reps == 1 for a single reading — bit-identical to
-  /// the seed's single-k pass). Returns |P'| or 0.
-  std::size_t score_reading(const Point2& at, const SensorResponse& response, double k_sum,
-                            double reps, double log_fact_sum);
   /// Selects the fusion subset into subset_, runs predict, and computes the
-  /// per-particle hypothesis rates into `rates_out` (the cache-miss path).
-  /// `kernel_pmf_out` reports whether the batch-kernel scoring flavor
-  /// applies. Returns false when the disk is empty.
-  bool select_and_rate(const Point2& at, const SensorResponse& response,
-                       simd::AVector<double>& rates_out, bool& kernel_pmf_out);
-  /// Scores `rates` against the (fused) counts and applies the mass-
-  /// preserving weight update + ESS-gated resample. Returns |P'| or 0 on a
-  /// degenerate update.
-  std::size_t apply_scores(std::span<const std::uint32_t> subset,
-                           const simd::AVector<double>& rates, double k_sum, double reps,
-                           double log_fact_sum, bool kernel_pmf);
+  /// per-particle hypothesis rates into rates_. Returns false when the disk
+  /// is empty.
+  bool select_and_rate(const Point2& at, const SensorResponse& response);
+  /// Scores rates_ against the (fused) counts and applies the mass-
+  /// preserving weight update + ESS-gated resample. `k_sum`/`reps`/
+  /// `log_fact_sum` describe the reading group (reps == 1 for a single
+  /// reading — bit-identical to the seed's single-k pass). Returns |P'| or 0
+  /// on a degenerate update.
+  std::size_t apply_scores(double k_sum, double reps, double log_fact_sum);
 
   const Environment* env_;
   std::vector<Sensor> sensors_;
@@ -279,17 +218,6 @@ class FusionParticleFilter {
   std::uint64_t particles_scored_ = 0;
   std::uint64_t resamples_performed_ = 0;
   std::uint64_t resamples_skipped_ = 0;
-
-  // Generation-versioned scoring cache (DESIGN.md §5.10). Any mutation of
-  // positions/strengths bumps particle_generation_, invalidating every
-  // entry at once — per-entry overlap reasoning is unsound because random
-  // replacement can move a particle anywhere.
-  std::uint64_t particle_generation_ = 0;
-  std::size_t scoring_cache_capacity_ = 0;  ///< cfg or RADLOC_SCORING_CACHE
-  std::vector<CacheEntry> score_cache_;
-  std::uint64_t cache_tick_ = 0;
-  std::uint64_t cache_lookups_ = 0;
-  std::uint64_t cache_hits_ = 0;
   std::uint64_t fused_groups_ = 0;
   std::uint64_t fused_readings_ = 0;
 
@@ -302,9 +230,8 @@ class FusionParticleFilter {
   simd::AVector<double> scratch_y_;
   simd::AVector<double> scratch_s_;
   simd::AVector<double> scratch_t_;
-  // hypothesis-rate destination when the cache is off (the cache stores
-  // rates per entry instead)
-  simd::AVector<double> rates_scratch_;
+  // per-particle hypothesis rates of the fusion subset
+  simd::AVector<double> rates_;
   // resample scratch
   struct Drawn {
     Point2 pos;

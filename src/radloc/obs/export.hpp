@@ -1,4 +1,4 @@
-// Exporters for the observability layer (DESIGN.md §5.11): a Prometheus
+// Exporters for the observability layer (DESIGN.md §5.10): a Prometheus
 // text-exposition writer over a MetricsRegistry and JSONL structured-event
 // writers for trace spans and metric snapshots. All cold-path: they walk
 // the registry / drained ring under its lock and format into a stream.

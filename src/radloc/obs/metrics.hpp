@@ -1,5 +1,5 @@
 // Lock-cheap metrics registry — the unified observability layer's
-// instrument store (DESIGN.md §5.11).
+// instrument store (DESIGN.md §5.10).
 //
 // Three instrument kinds, all designed so the HOT PATH is a relaxed atomic
 // add (or a relaxed store) with no locks and no allocation:

@@ -11,7 +11,6 @@ const char* to_string(Stage stage) {
     case Stage::kWeightUpdate: return "weight_update";
     case Stage::kResample: return "resample";
     case Stage::kMeanShift: return "mean_shift";
-    case Stage::kBudgetAdapt: return "budget_adapt";
     case Stage::kDrain: return "drain";
   }
   return "unknown";

@@ -1,8 +1,8 @@
 // Pipeline stage tracing — scoped spans around the per-reading stages of
-// the fusion filter pipeline (DESIGN.md §5.11):
+// the fusion filter pipeline (DESIGN.md §5.10):
 //
 //   validate -> fusion-disk query -> weight update -> resample
-//                                          -> mean-shift -> budget adapt
+//                                          -> mean-shift
 //
 // plus a per-drain envelope span at the service layer. Spans are sampled
 // (one shared relaxed tick counter, every Nth span records) and land in a
@@ -38,11 +38,10 @@ enum class Stage : std::uint8_t {
                   ///< resample span NESTS inside this one when it fires)
   kResample,
   kMeanShift,
-  kBudgetAdapt,
   kDrain,         ///< service-layer envelope around one session drain
 };
 
-inline constexpr std::size_t kStageCount = 7;
+inline constexpr std::size_t kStageCount = 6;
 
 [[nodiscard]] const char* to_string(Stage stage);
 

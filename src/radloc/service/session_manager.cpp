@@ -35,8 +35,7 @@ struct SessionManager::Session {
           std::uint64_t seed, ThreadPool* pool)
       : cfg(config),
         localizer(env, std::move(sensors), config.localizer, seed, pool),
-        validator(localizer.filter().sensors().size()),
-        current_budget(localizer.filter().size()) {}
+        validator(localizer.filter().sensors().size()) {}
 
   SessionConfig cfg;
   MultiSourceLocalizer localizer;
@@ -56,20 +55,12 @@ struct SessionManager::Session {
     obs::Counter* dropped_oldest = nullptr;
     std::array<obs::Counter*, kReadingFaultCount> faults{};  ///< [kNone] unused
     obs::Counter* drains = nullptr;
-    obs::Counter* cache_lookups = nullptr;
-    obs::Counter* cache_hits = nullptr;
     obs::Counter* fused_groups = nullptr;
     obs::Counter* fused_readings = nullptr;
     obs::Counter* resamples_performed = nullptr;
     obs::Counter* resamples_skipped = nullptr;
-    obs::Counter* generation_bumps = nullptr;
-    obs::Counter* budget_runs = nullptr;
-    obs::Counter* budget_grow = nullptr;
-    obs::Counter* budget_shrink = nullptr;
-    obs::Counter* budget_ess_alarms = nullptr;
     obs::Gauge* queue_depth = nullptr;
     obs::Gauge* ess_fraction = nullptr;
-    obs::Gauge* particle_budget = nullptr;
   };
   Instruments ins;
 
@@ -95,11 +86,8 @@ struct SessionManager::Session {
   std::size_t applied = 0;
   std::size_t rejected_full = 0;
   std::size_t dropped_oldest = 0;
-  // Budget telemetry snapshotted at the end of each drain (guarded by mu).
-  std::size_t current_budget = 0;
+  // Filter telemetry snapshotted at the end of each drain (guarded by mu).
   double ess_fraction = 1.0;
-  // Scoring-cache / fused-update telemetry, same snapshot discipline.
-  double cache_hit_rate = 0.0;
   double fused_batch_len = 0.0;
 
   /// Serializes drains (and estimates) of this session, so one session's
@@ -111,18 +99,11 @@ struct SessionManager::Session {
   std::vector<Measurement> batch;
   std::vector<double> batch_latency_us;
   // Advance-delta trackers for the drain-side counter mirrors: the filter
-  // and budget counters are cumulative, the registry wants increments.
-  std::uint64_t prev_cache_lookups = 0;
-  std::uint64_t prev_cache_hits = 0;
+  // counters are cumulative, the registry wants increments.
   std::uint64_t prev_fused_groups = 0;
   std::uint64_t prev_fused_readings = 0;
   std::uint64_t prev_resamples_performed = 0;
   std::uint64_t prev_resamples_skipped = 0;
-  std::uint64_t prev_generation = 0;
-  std::uint64_t prev_budget_runs = 0;
-  std::uint64_t prev_budget_grow = 0;
-  std::uint64_t prev_budget_shrink = 0;
-  std::uint64_t prev_budget_alarms = 0;
 };
 
 SessionManager::SessionManager(ThreadPool& pool, ServiceObservability obs)
@@ -177,20 +158,12 @@ SessionManager::SessionId SessionManager::open(const Environment& env,
       ins.faults[f] = &metrics_->counter("radloc_session_ingest_faults_total", std::move(fl));
     }
     ins.drains = &metrics_->counter("radloc_session_drains_total", sl);
-    ins.cache_lookups = &metrics_->counter("radloc_filter_cache_lookups_total", sl);
-    ins.cache_hits = &metrics_->counter("radloc_filter_cache_hits_total", sl);
     ins.fused_groups = &metrics_->counter("radloc_filter_fused_groups_total", sl);
     ins.fused_readings = &metrics_->counter("radloc_filter_fused_readings_total", sl);
     ins.resamples_performed = &metrics_->counter("radloc_filter_resamples_performed_total", sl);
     ins.resamples_skipped = &metrics_->counter("radloc_filter_resamples_skipped_total", sl);
-    ins.generation_bumps = &metrics_->counter("radloc_filter_generation_bumps_total", sl);
-    ins.budget_runs = &metrics_->counter("radloc_budget_runs_total", sl);
-    ins.budget_grow = &metrics_->counter("radloc_budget_grow_total", sl);
-    ins.budget_shrink = &metrics_->counter("radloc_budget_shrink_total", sl);
-    ins.budget_ess_alarms = &metrics_->counter("radloc_budget_ess_alarms_total", sl);
     ins.queue_depth = &metrics_->gauge("radloc_session_queue_depth", sl);
     ins.ess_fraction = &metrics_->gauge("radloc_filter_ess_fraction", sl);
-    ins.particle_budget = &metrics_->gauge("radloc_filter_particle_budget", sl);
     session->latency_hist = &metrics_->histogram("radloc_session_drain_latency_us", sl);
   } else {
     session->owned_latency = std::make_unique<obs::Histogram>();
@@ -308,20 +281,14 @@ std::size_t SessionManager::drain_session(Session& s) {
   const std::size_t drained = s.batch.size();
   // Still under drain_mu — safe to read the localizer here, not in stats().
   const FusionParticleFilter& filter = s.localizer.filter();
-  const std::size_t budget = filter.size();
-  const double ess = filter.effective_sample_size();
-  const std::uint64_t lookups = filter.scoring_cache_lookups();
-  const std::uint64_t hits = filter.scoring_cache_hits();
+  const double ess_fraction =
+      filter.effective_sample_size() / static_cast<double>(filter.size());
   const std::uint64_t fgroups = filter.fused_groups();
   const std::uint64_t freadings = filter.fused_readings();
 
   // Drain-side counter mirrors: advance-deltas of the cumulative localizer
   // counters since the previous drain (prev_* guarded by drain_mu).
   bump(s.ins.drains);
-  bump(s.ins.cache_lookups, lookups - s.prev_cache_lookups);
-  s.prev_cache_lookups = lookups;
-  bump(s.ins.cache_hits, hits - s.prev_cache_hits);
-  s.prev_cache_hits = hits;
   bump(s.ins.fused_groups, fgroups - s.prev_fused_groups);
   s.prev_fused_groups = fgroups;
   bump(s.ins.fused_readings, freadings - s.prev_fused_readings);
@@ -330,26 +297,12 @@ std::size_t SessionManager::drain_session(Session& s) {
   s.prev_resamples_performed = filter.resamples_performed();
   bump(s.ins.resamples_skipped, filter.resamples_skipped() - s.prev_resamples_skipped);
   s.prev_resamples_skipped = filter.resamples_skipped();
-  bump(s.ins.generation_bumps, filter.particle_generation() - s.prev_generation);
-  s.prev_generation = filter.particle_generation();
-  const BudgetDiagnostics bd = s.localizer.budget_diagnostics();
-  bump(s.ins.budget_runs, bd.controller_runs - s.prev_budget_runs);
-  s.prev_budget_runs = bd.controller_runs;
-  bump(s.ins.budget_grow, bd.grow_events - s.prev_budget_grow);
-  s.prev_budget_grow = bd.grow_events;
-  bump(s.ins.budget_shrink, bd.shrink_events - s.prev_budget_shrink);
-  s.prev_budget_shrink = bd.shrink_events;
-  bump(s.ins.budget_ess_alarms, bd.ess_alarm_events - s.prev_budget_alarms);
-  s.prev_budget_alarms = bd.ess_alarm_events;
 
   {
     const std::lock_guard lock(s.mu);
     s.processed += drained;
     s.applied += result.processed;
-    s.current_budget = budget;
-    s.ess_fraction = budget > 0 ? ess / static_cast<double>(budget) : 0.0;
-    s.cache_hit_rate =
-        lookups > 0 ? static_cast<double>(hits) / static_cast<double>(lookups) : 0.0;
+    s.ess_fraction = ess_fraction;
     s.fused_batch_len =
         fgroups > 0 ? static_cast<double>(freadings) / static_cast<double>(fgroups) : 0.0;
     // Latency lands in the histogram inside the SAME critical section as
@@ -360,7 +313,6 @@ std::size_t SessionManager::drain_session(Session& s) {
     bump(s.ins.applied, result.processed);
     publish(s.ins.queue_depth, static_cast<double>(s.queue.size()));
     publish(s.ins.ess_fraction, s.ess_fraction);
-    publish(s.ins.particle_budget, static_cast<double>(budget));
   }
   return drained;
 }
@@ -414,9 +366,7 @@ SessionStats SessionManager::stats(SessionId id) const {
   // the counter can come from the mu-guarded tally — reading
   // localizer.iterations() here would race an in-flight drain.
   out.filter_iterations = s->applied;
-  out.current_budget = s->current_budget;
   out.ess_fraction = s->ess_fraction;
-  out.cache_hit_rate = s->cache_hit_rate;
   out.fused_batch_len = s->fused_batch_len;
   // The histogram is written under this same mutex (drain_session), so the
   // sample count is exactly `processed` in every snapshot.

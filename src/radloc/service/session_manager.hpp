@@ -28,7 +28,7 @@
 //            counters, per-fault tallies, p50/p99 per-reading drain latency
 //            from a fixed-bucket log-scale histogram (obs/metrics.hpp).
 //
-// Observability (DESIGN.md §5.11): constructed with a ServiceObservability
+// Observability (DESIGN.md §5.10): constructed with a ServiceObservability
 // handle, the manager mirrors every per-session tally into named
 // MetricsRegistry instruments (counters/gauges/latency histogram, labelled
 // by session id), registers pull gauges for the shared pool, and threads a
@@ -126,20 +126,13 @@ struct SessionStats {
   double p50_latency_us = 0.0;
   double p99_latency_us = 0.0;
   std::size_t latency_samples = 0;
-  /// Particle budget and ESS fraction recorded at the END of the last drain
-  /// (before any drain: the configured num_particles and 1.0). With
-  /// adaptive_budget on this is the live multiplier an operator watches: a
-  /// session whose scenario has converged runs near min_particles while a
-  /// hard one holds the cap. Snapshotted into mu-guarded fields by the
-  /// drain itself — stats() never reads the localizer (that would race an
+  /// Global ESS fraction (ESS / particle count) and mean fused-group length
+  /// (fused readings / fused groups, 0 when fusing is off or no group of
+  /// >= 2 formed), both recorded at the END of the last drain (before any
+  /// drain: 1.0 and 0). Snapshotted into mu-guarded fields by the drain
+  /// itself — stats() never reads the localizer (that would race an
   /// in-flight drain).
-  std::size_t current_budget = 0;
   double ess_fraction = 1.0;
-  /// Scoring-cache hit rate (hits / lookups, 0 when the cache is off or has
-  /// seen no lookups) and mean fused-group length (fused readings / fused
-  /// groups, 0 when fusing is off or no group of >= 2 formed), both
-  /// snapshotted at the end of the last drain like the budget fields.
-  double cache_hit_rate = 0.0;
   double fused_batch_len = 0.0;
 };
 

@@ -2,16 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <memory>
 #include <numeric>
+#include <span>
 
 #include "radloc/concurrency/thread_pool.hpp"
 #include "radloc/core/localizer.hpp"
+#include "radloc/eval/scenarios.hpp"
 #include "radloc/filter/particle_filter.hpp"
 #include "radloc/filter/resample.hpp"
 #include "radloc/radiation/intensity_model.hpp"
 #include "radloc/sensornet/placement.hpp"
 #include "radloc/sensornet/simulator.hpp"
+#include "radloc/simd/simd.hpp"
 
 namespace radloc {
 namespace {
@@ -481,6 +486,187 @@ TEST(FusionFilter, LocalizerEstimatesBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(per_thread_count[0][k].support, per_thread_count[t][k].support);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Default-path golden, ESS-gated resampling, fused same-sensor updates
+
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t bytes) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// FNV-1a over the full particle state (positions, strengths, weights).
+std::uint64_t state_fingerprint(const FusionParticleFilter& f) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto pos = f.positions();
+  const auto str = f.strengths();
+  const auto w = f.weights();
+  h = fnv1a(h, pos.data(), pos.size() * sizeof(Point2));
+  h = fnv1a(h, str.data(), str.size_bytes());
+  h = fnv1a(h, w.data(), w.size_bytes());
+  return h;
+}
+
+TEST(FusionFilter, DefaultPathMatchesSeedGolden) {
+  // Fingerprint captured from the seed build: scenario A, three sweeps,
+  // fixed seeds, scalar tier. Any change to the default per-reading path
+  // (selection, rates, Poisson scoring, resample) shows up here.
+  simd::force_tier(simd::Tier::kScalar);
+  const Scenario sc = make_scenario_a(10.0);
+  FilterConfig cfg;
+  cfg.num_particles = 600;
+  cfg.fusion_range = sc.recommended_fusion_range;
+  FusionParticleFilter filter(sc.env, sc.sensors, cfg, Rng(42));
+  MeasurementSimulator sim(sc.env, sc.sensors, sc.sources);
+  Rng sim_rng(7);
+  for (int step = 0; step < 3; ++step) {
+    for (const Measurement& m : sim.sample_time_step(sim_rng)) (void)filter.process(m);
+  }
+  const std::uint64_t h = state_fingerprint(filter);
+  simd::reset_tier();
+  EXPECT_EQ(h, 0xbf58403a314a0840ULL) << "default filter path drifted from the seed";
+  EXPECT_EQ(filter.resamples_skipped(), 0u);
+}
+
+TEST(EssGate, RejectsInvalidThresholdAtConstruction) {
+  const Environment env = test_env();
+  const auto sensors = test_sensors(env);
+  FilterConfig cfg = small_config();
+  cfg.ess_resample_threshold = 0.0;
+  EXPECT_THROW(FusionParticleFilter(env, sensors, cfg, Rng(1)), std::invalid_argument);
+  cfg.ess_resample_threshold = -0.5;
+  EXPECT_THROW(FusionParticleFilter(env, sensors, cfg, Rng(1)), std::invalid_argument);
+  cfg.ess_resample_threshold = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(FusionParticleFilter(env, sensors, cfg, Rng(1)), std::invalid_argument);
+  cfg.ess_resample_threshold = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(FusionParticleFilter(env, sensors, cfg, Rng(1)), std::invalid_argument);
+  // Any finite positive threshold is accepted; values above 1 always resample.
+  cfg.ess_resample_threshold = 1e-6;
+  EXPECT_NO_THROW(FusionParticleFilter(env, sensors, cfg, Rng(1)));
+  cfg.ess_resample_threshold = 1.0;
+  EXPECT_NO_THROW(FusionParticleFilter(env, sensors, cfg, Rng(1)));
+}
+
+TEST(EssGate, DefaultThresholdNeverSkipsBelowOneAlwaysDeterministic) {
+  const Scenario sc = make_scenario_a(10.0);
+  auto run = [&](double threshold) {
+    FilterConfig cfg;
+    cfg.num_particles = 600;
+    cfg.fusion_range = sc.recommended_fusion_range;
+    cfg.ess_resample_threshold = threshold;
+    FusionParticleFilter filter(sc.env, sc.sensors, cfg, Rng(42));
+    MeasurementSimulator sim(sc.env, sc.sensors, sc.sources);
+    Rng sim_rng(7);
+    for (int step = 0; step < 3; ++step) {
+      for (const Measurement& m : sim.sample_time_step(sim_rng)) (void)filter.process(m);
+    }
+    return filter;
+  };
+
+  const auto gated_off = run(1.0);
+  EXPECT_EQ(gated_off.resamples_skipped(), 0u);
+  EXPECT_GT(gated_off.resamples_performed(), 0u);
+
+  const auto gated = run(0.5);
+  EXPECT_GT(gated.resamples_skipped(), 0u) << "a 0.5 gate must skip some resamples";
+  const auto gated_again = run(0.5);
+  ASSERT_EQ(gated.size(), gated_again.size());
+  for (std::size_t i = 0; i < gated.size(); ++i) {
+    ASSERT_EQ(gated.weights()[i], gated_again.weights()[i]) << i;
+    ASSERT_EQ(gated.positions()[i], gated_again.positions()[i]) << i;
+  }
+}
+
+/// A small deployment whose readings never degenerate: 4x4 grid, one
+/// fusion disk covering most of the area.
+struct SmallWorld {
+  Environment env{make_area(100, 100)};
+  std::vector<Sensor> sensors;
+  SmallWorld() {
+    sensors = place_grid(env.bounds(), 4, 4);
+    set_background(sensors, 5.0);
+  }
+};
+
+FilterConfig fused_test_config(double ess_threshold) {
+  FilterConfig cfg;
+  cfg.num_particles = 400;
+  cfg.fusion_range = 60.0;
+  cfg.ess_resample_threshold = ess_threshold;
+  return cfg;
+}
+
+/// ESS threshold low enough that the gate skips every non-degenerate
+/// resample, so positions never move between the readings of a group.
+constexpr double kAlwaysSkip = 1e-6;
+
+TEST(FusedUpdates, SizeOneGroupBitIdenticalToProcess) {
+  const SmallWorld w;
+  const Measurement m{5, 30.0};
+  FusionParticleFilter a(w.env, w.sensors, fused_test_config(1.0), Rng(3));
+  FusionParticleFilter b(w.env, w.sensors, fused_test_config(1.0), Rng(3));
+  const std::size_t na = a.process(m);
+  const std::size_t nb = b.process_fused(std::span{&m, 1});
+  EXPECT_EQ(na, nb);
+  EXPECT_EQ(b.fused_groups(), 0u) << "size-1 groups take the exact single-reading path";
+  EXPECT_EQ(b.iteration(), a.iteration());
+  EXPECT_EQ(state_fingerprint(b), state_fingerprint(a));
+}
+
+TEST(FusedUpdates, GroupMatchesSerialWithinToleranceAtEveryTier) {
+  // With the gate skipping every resample the serial path never mutates
+  // positions mid-group, so fused-vs-serial differ only by FP reordering of
+  // the summed log-likelihoods: positions bitwise equal, weights within a
+  // tight relative tolerance — at every SIMD tier the host supports.
+  const SmallWorld w;
+  const std::vector<Measurement> stream{{5, 28.0}, {5, 31.0}, {5, 30.0}, {5, 33.0},
+                                        {9, 12.0}, {9, 14.0}, {9, 11.0}, {9, 13.0}};
+  for (const simd::Tier tier : simd::sweep_tiers()) {
+    simd::force_tier(tier);
+    FusionParticleFilter serial(w.env, w.sensors, fused_test_config(kAlwaysSkip), Rng(3));
+    FusionParticleFilter fused(w.env, w.sensors, fused_test_config(kAlwaysSkip), Rng(3));
+    for (const Measurement& m : stream) (void)serial.process(m);
+    (void)fused.process_fused(std::span{stream}.subspan(0, 4));
+    (void)fused.process_fused(std::span{stream}.subspan(4, 4));
+    simd::reset_tier();
+
+    EXPECT_EQ(fused.iteration(), serial.iteration()) << "fused must count every reading";
+    EXPECT_EQ(fused.fused_groups(), 2u);
+    EXPECT_EQ(fused.fused_readings(), 8u);
+    ASSERT_EQ(fused.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      ASSERT_EQ(fused.positions()[i], serial.positions()[i])
+          << "tier " << static_cast<int>(tier) << " i=" << i;
+      const double ws = serial.weights()[i];
+      const double wf = fused.weights()[i];
+      ASSERT_LE(std::abs(wf - ws), 1e-9 * std::abs(ws) + 1e-15)
+          << "tier " << static_cast<int>(tier) << " i=" << i;
+    }
+  }
+}
+
+TEST(FusedUpdates, RejectsMixedSensorsNonStaticMovementAndMalformedReadings) {
+  const SmallWorld w;
+  FusionParticleFilter filter(w.env, w.sensors, fused_test_config(1.0), Rng(3));
+
+  EXPECT_EQ(filter.process_fused({}), 0u);
+  EXPECT_EQ(filter.iteration(), 0u) << "an empty group must not advance the clock";
+
+  const std::vector<Measurement> mixed{{5, 30.0}, {6, 30.0}};
+  EXPECT_THROW((void)filter.process_fused(mixed), std::invalid_argument);
+  const std::vector<Measurement> malformed{{5, 30.0}, {5, -1.0}};
+  EXPECT_THROW((void)filter.process_fused(malformed), std::invalid_argument);
+  EXPECT_EQ(filter.iteration(), 0u) << "rejected groups must not advance the clock";
+
+  filter.set_movement_model(std::make_unique<RandomWalkMovement>(0.5));
+  const std::vector<Measurement> group{{5, 30.0}, {5, 31.0}};
+  EXPECT_THROW((void)filter.process_fused(group), std::invalid_argument)
+      << "fused updates require a static movement model";
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <string>
 #include <utility>
 
 #include "radloc/core/localizer.hpp"
 #include "radloc/eval/matching.hpp"
+#include "radloc/eval/scenarios.hpp"
 #include "radloc/sensornet/delivery.hpp"
 #include "radloc/sensornet/placement.hpp"
 #include "radloc/sensornet/simulator.hpp"
@@ -278,6 +280,64 @@ TEST(Localizer, TryProcessAllCallbackSeesEveryReadingInOrder) {
   EXPECT_EQ(seen[0], (std::pair<std::size_t, ReadingFault>{0, ReadingFault::kNone}));
   EXPECT_EQ(seen[1], (std::pair<std::size_t, ReadingFault>{1, ReadingFault::kUnknownSensor}));
   EXPECT_EQ(seen[2], (std::pair<std::size_t, ReadingFault>{2, ReadingFault::kNone}));
+}
+
+// ---------------------------------------------------------------------------
+// Fused same-sensor updates in the batch ingest paths
+
+TEST(FusedUpdates, LocalizerBatchGroupsConsecutiveSameSensorRuns) {
+  const Scenario sc = make_scenario_a(10.0);
+  LocalizerConfig cfg;
+  cfg.filter.num_particles = 600;
+  cfg.filter.fusion_range = sc.recommended_fusion_range;
+  cfg.filter.ess_resample_threshold = 0.5;
+  cfg.filter.fused_batch_updates = true;
+  MultiSourceLocalizer loc(sc.env, sc.sensors, cfg, 42);
+
+  MeasurementSimulator sim(sc.env, sc.sensors, sc.sources);
+  Rng noise(7);
+  std::vector<Measurement> batch;
+  for (const Measurement& m : sim.sample_time_step(noise)) {
+    for (int r = 0; r < 4; ++r) batch.push_back(m);
+  }
+  loc.process_all(batch);
+  const FusionParticleFilter& f = loc.filter();
+  EXPECT_EQ(f.iteration(), batch.size());
+  EXPECT_GT(f.fused_groups(), 0u);
+  EXPECT_EQ(f.fused_readings(), 4 * f.fused_groups()) << "every run in this batch has length 4";
+}
+
+TEST(FusedUpdates, TryProcessAllBreaksRunsOnMalformedWithoutDoubleTally) {
+  Fixture f;
+  f.cfg.filter.num_particles = 400;
+  f.cfg.filter.fusion_range = 60.0;
+  f.cfg.filter.ess_resample_threshold = 0.5;
+  f.cfg.filter.fused_batch_updates = true;
+  MultiSourceLocalizer loc(f.env, f.sensors, f.cfg, 42);
+
+  const double nan = std::nan("");
+  const std::vector<Measurement> batch{{5, 30.0}, {5, nan}, {5, 31.0}, {5, 29.0}, {5, 30.0}};
+  std::vector<std::size_t> order;
+  std::vector<ReadingFault> faults;
+  const BatchIngestResult res = loc.try_process_all(batch, [&](std::size_t i, ReadingFault fault) {
+    order.push_back(i);
+    faults.push_back(fault);
+  });
+  EXPECT_EQ(res.processed, 4u);
+  EXPECT_EQ(res.rejected, 1u);
+  EXPECT_EQ(res.first_fault, ReadingFault::kNonFiniteCpm);
+  ASSERT_EQ(order.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(order[i], i) << "callbacks must fire in batch order";
+    EXPECT_EQ(faults[i], i == 1 ? ReadingFault::kNonFiniteCpm : ReadingFault::kNone);
+  }
+  const FusionParticleFilter& filter = loc.filter();
+  EXPECT_EQ(filter.iteration(), 4u);
+  EXPECT_EQ(filter.fused_groups(), 1u) << "the NaN breaks the run: [m0], reject, [m2 m3 m4]";
+  EXPECT_EQ(filter.fused_readings(), 3u);
+  // Each well-formed reading tallies exactly once (probe does not tally).
+  EXPECT_EQ(filter.validator().accepted(), 4u);
+  EXPECT_EQ(filter.validator().rejected(), 1u);
 }
 
 }  // namespace

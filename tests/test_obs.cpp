@@ -1,4 +1,4 @@
-// Unified observability layer (src/radloc/obs, DESIGN.md §5.11): instrument
+// Unified observability layer (src/radloc/obs, DESIGN.md §5.10): instrument
 // semantics, quantile accuracy, registry keying, exporter goldens, and the
 // trace ring. The exporter tests are GOLDEN-FILE style: exact expected text,
 // because the Prometheus exposition and JSONL schemas are interfaces that

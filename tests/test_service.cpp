@@ -215,6 +215,42 @@ TEST(SessionManager, LatencyTelemetryPopulatedByDrains) {
   EXPECT_GE(st.p99_latency_us, st.p50_latency_us);
 }
 
+TEST(SessionManager, StatsSurfaceEssFraction) {
+  Fixture f;
+  f.cfg.localizer.filter.ess_resample_threshold = 0.5;
+  ThreadPool pool(2, 2);
+  SessionManager mgr(pool);
+  const auto id = mgr.open(f.env, f.sensors, f.cfg, 7);
+  EXPECT_EQ(mgr.stats(id).ess_fraction, 1.0) << "pre-drain stats report a uniform cloud";
+
+  for (const auto& r : make_feed(f, {{{40, 60}, 40.0}}, 6, 8)) {
+    ASSERT_EQ(mgr.ingest(id, r), IngestStatus::kQueued);
+  }
+  (void)mgr.drain_all();
+  const SessionStats st = mgr.stats(id);
+  EXPECT_EQ(st.ess_fraction, mgr.localizer(id).filter().effective_sample_size() /
+                                 static_cast<double>(mgr.localizer(id).filter().size()));
+  EXPECT_GT(st.ess_fraction, 0.0);
+  EXPECT_LE(st.ess_fraction, 1.0 + 1e-9);
+}
+
+TEST(SessionManager, StatsSurfaceFusedBatchLength) {
+  Fixture f;
+  f.cfg.localizer.filter.ess_resample_threshold = 0.5;
+  f.cfg.localizer.filter.fused_batch_updates = true;
+  ThreadPool pool(2, 2);
+  SessionManager mgr(pool);
+  const auto id = mgr.open(f.env, f.sensors, f.cfg, 7);
+  EXPECT_EQ(mgr.stats(id).fused_batch_len, 0.0);
+
+  // Every reading repeated four times in a row: each run fuses into one update.
+  for (const auto& r : make_feed(f, {{{40, 60}, 40.0}}, 4, 8)) {
+    for (int k = 0; k < 4; ++k) ASSERT_EQ(mgr.ingest(id, r), IngestStatus::kQueued);
+  }
+  (void)mgr.drain_all();
+  EXPECT_EQ(mgr.stats(id).fused_batch_len, 4.0) << "repeat-4 runs must fuse";
+}
+
 TEST(SessionManager, SessionsAreIndependent) {
   Fixture f;
   ThreadPool pool(4, 4);

@@ -619,14 +619,22 @@ TEST(SimdAligned, AVectorBuffersAre32ByteAligned) {
 TEST(SimdAdoption, FilterWeightsBitIdenticalAcrossThreadCountsInVectorTier) {
   // The padded-tail design makes every kernel chunking-invariant, so the
   // thread-count bit-identity contract must hold within a VECTOR tier too,
-  // on both batched paths (free space, and cached-obstacle bilinear).
+  // on both batched rate paths (free space, and cached-obstacle bilinear)
+  // and on exact obstacle geometry, whose per-particle rates are also
+  // scored through the active tier's Poisson kernel.
   if (simd::detected_tier() == simd::Tier::kScalar) {
     GTEST_SKIP() << "host has no vector tier";
   }
   TierGuard guard(simd::detected_tier());
 
-  for (const bool cached_obstacles : {false, true}) {
-    Environment env = cached_obstacles
+  struct Mode {
+    const char* name;
+    bool obstacles;
+    bool transmission_cache;
+  };
+  for (const Mode mode : {Mode{"free", false, false}, Mode{"cached", true, true},
+                          Mode{"exact", true, false}}) {
+    Environment env = mode.obstacles
                           ? Environment(make_area(100, 100),
                                         {Obstacle(make_u_shape(38, 35, 62, 60, 2.0), 0.2)})
                           : Environment(make_area(100, 100));
@@ -634,8 +642,8 @@ TEST(SimdAdoption, FilterWeightsBitIdenticalAcrossThreadCountsInVectorTier) {
     set_background(sensors, 5.0);
     FilterConfig cfg;
     cfg.num_particles = 1200;
-    cfg.use_known_obstacles = cached_obstacles;
-    cfg.use_transmission_cache = cached_obstacles;
+    cfg.use_known_obstacles = mode.obstacles;
+    cfg.use_transmission_cache = mode.transmission_cache;
 
     MeasurementSimulator sim(env, sensors, {{{47, 71}, 60.0}, {{81, 42}, 60.0}});
     Rng noise(21);
@@ -655,7 +663,7 @@ TEST(SimdAdoption, FilterWeightsBitIdenticalAcrossThreadCountsInVectorTier) {
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
       ASSERT_TRUE(same_bits(serial.weights()[i], parallel.weights()[i]))
-          << "cached=" << cached_obstacles << " i=" << i;
+          << mode.name << " i=" << i;
       ASSERT_TRUE(same_bits(serial.positions()[i].x, parallel.positions()[i].x));
       ASSERT_TRUE(same_bits(serial.strengths()[i], parallel.strengths()[i]));
     }

@@ -6,7 +6,8 @@ Usage:
                            [--threshold FRAC] [--strict] [name ...]
 
 Compares every requested bench (default: weight_update,
-experiment_throughput) whose BENCH_<name>.json exists in BOTH directories.
+experiment_throughput, session_multiplex, telemetry_overhead) whose
+BENCH_<name>.json exists in BOTH directories.
 Rows are matched on (scenario, config, metric, threads); the direction of
 "better" is inferred from the metric name (rates and speedups up, times and
 errors down). Changes beyond the threshold (default 15%) are printed as
@@ -29,8 +30,6 @@ DEFAULT_BENCHES = [
     "weight_update",
     "experiment_throughput",
     "session_multiplex",
-    "adaptive_budget",
-    "scoring_cache",
     "telemetry_overhead",
 ]
 

@@ -2,17 +2,16 @@
 # radloc correctness gauntlet: tier-1 tests plus the sanitizer suites.
 #
 #   tools/check.sh            # release + asan + tsan (full ctest each)
-#   tools/check.sh release    # any subset of: release asan tsan benchsmoke serve obs
+#   tools/check.sh release    # any subset of: release asan tsan benchsmoke serve obs e2e
 #   RADLOC_CHECK_JOBS=8 tools/check.sh
 #
 # The release stage's ctest includes the `benchsmoke` label (every bench
 # binary in --smoke mode); pass `benchsmoke` as a stage to run only those.
-# The benchsmoke stage runs the label three times — once pinned to the
-# portable scalar SIMD tier (RADLOC_SIMD=scalar), once with the knob unset so
-# the dispatcher picks the host's best tier, and once with the scoring cache
-# forced on (RADLOC_SCORING_CACHE=64) so every bench exercises the cached
-# scoring path too — then diffs the fresh bench JSON against the committed
-# baselines with tools/bench_compare.py
+# The benchsmoke stage runs the label twice — once pinned to the portable
+# scalar SIMD tier (RADLOC_SIMD=scalar), once with RADLOC_SIMD=auto so the
+# dispatcher picks the host's best tier (an unset knob means scalar) — then
+# diffs the fresh bench JSON against the committed baselines with
+# tools/bench_compare.py
 # (informational: smoke numbers are noisy, so regressions never fail the
 # gauntlet here; run bench_compare.py --strict by hand on full runs).
 #
@@ -22,13 +21,18 @@
 # BENCH_session_multiplex.json. The diff is informational by default; pass
 # --strict to make flagged regressions fail the stage.
 #
-# The `obs` stage smoke-tests the observability layer (DESIGN.md §5.11):
+# The `obs` stage smoke-tests the observability layer (DESIGN.md §5.10):
 # radloc_serve with --metrics-out/--trace-out, python3-validating that the
 # Prometheus exposition and the trace JSONL parse, then
 # bench_telemetry_overhead --smoke diffed against the committed baseline.
 #
-# Each stage is a CMake preset (see CMakePresets.json); build trees land in
-# build/<preset>. The script stops at the first failing stage.
+# The `e2e` stage builds the end-to-end service benchmark as its own CMake
+# project (bench/e2e/run.sh --smoke: about one second per workload, its
+# correctness gate included) and then runs that project's ctest suite, so a
+# library API change that breaks the benchmark's build fails the gauntlet.
+#
+# Each other stage is a CMake preset (see CMakePresets.json); build trees
+# land in build/<preset>. The script stops at the first failing stage.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -46,13 +50,21 @@ if [ ${#stages[@]} -eq 0 ]; then
 fi
 
 for stage in "${stages[@]}"; do
+  if [ "$stage" = e2e ]; then
+    echo "==> [$stage] bench/e2e/run.sh --smoke"
+    bash bench/e2e/run.sh --smoke
+    echo "==> [$stage] ctest (build/e2e)"
+    ctest --test-dir build/e2e --output-on-failure
+    echo "==> [$stage] OK"
+    continue
+  fi
   # benchsmoke shares the release build tree; its test preset filters to
   # the bench --smoke entries.
   build_preset="$stage"
   case "$stage" in
     release|asan|tsan) ;;
     benchsmoke|serve|obs) build_preset="release" ;;
-    *) echo "check.sh: unknown stage '$stage' (want release|asan|tsan|benchsmoke|serve|obs)" >&2; exit 2 ;;
+    *) echo "check.sh: unknown stage '$stage' (want release|asan|tsan|benchsmoke|serve|obs|e2e)" >&2; exit 2 ;;
   esac
   echo "==> [$stage] configure"
   cmake --preset "$build_preset" >/dev/null
@@ -125,16 +137,11 @@ PYEOF
   echo "==> [$stage] ctest"
   if [ "$stage" = benchsmoke ]; then
     # Both SIMD dispatch paths: forced-scalar (the bit-identical default
-    # tier) and env-unset (host's detected tier, e.g. AVX2 on x86).
-    echo "==> [$stage] pass 1/3: RADLOC_SIMD=scalar"
+    # tier) and auto (the host's detected tier, e.g. AVX2 on x86).
+    echo "==> [$stage] pass 1/2: RADLOC_SIMD=scalar"
     RADLOC_SIMD=scalar ctest --preset "$stage" -j "$jobs"
-    echo "==> [$stage] pass 2/3: RADLOC_SIMD unset (host tier)"
-    env -u RADLOC_SIMD ctest --preset "$stage" -j "$jobs"
-    # Third pass forces the (default-off) generation-versioned scoring cache
-    # on in every bench, so the cached scoring path cannot bit-rot unnoticed
-    # between dedicated bench_scoring_cache runs.
-    echo "==> [$stage] pass 3/3: RADLOC_SCORING_CACHE=64 (host tier)"
-    env -u RADLOC_SIMD RADLOC_SCORING_CACHE=64 ctest --preset "$stage" -j "$jobs"
+    echo "==> [$stage] pass 2/2: RADLOC_SIMD=auto (host tier)"
+    RADLOC_SIMD=auto ctest --preset "$stage" -j "$jobs"
     echo "==> [$stage] bench_compare vs committed baselines (informational)"
     python3 tools/bench_compare.py --fresh-dir "build/$build_preset/bench" || true
   else

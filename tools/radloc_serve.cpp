@@ -19,7 +19,6 @@
 //   radloc_serve --replay t.csv --scenario A --sessions 4
 //
 // Run with --help for the full flag list.
-#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -50,8 +49,6 @@ struct Options {
   std::size_t queue_capacity = 1024;
   bool drop_oldest = false;
   bool order_by_timestamp = false;
-  bool adaptive = false;
-  std::size_t scoring_cache = 0;
   bool fused = false;
   std::uint64_t seed = 1;
   std::string metrics_out;  // Prometheus text dump path ("" = metrics off)
@@ -71,12 +68,6 @@ struct Options {
       "  --background <CPM>      per-sensor background (default 5)\n"
       "  --obstacles             enable the scenario's obstacles\n"
       "  --particles <n>         override per-session particle count\n"
-      "  --adaptive              adaptive particle budget per session (KLD\n"
-      "                          controller, min = particles/4, max = particles;\n"
-      "                          watch the budget/ess stats columns)\n"
-      "  --scoring-cache <n>     per-session scoring cache of n entries\n"
-      "                          (generation-versioned hypothesis rates;\n"
-      "                          bit-identical, pure speed — watch hit%)\n"
       "  --fused                 fuse consecutive same-sensor readings in each\n"
       "                          drain into one weight update (tolerance-\n"
       "                          pinned; watch the fuse stats column)\n"
@@ -87,7 +78,7 @@ struct Options {
       "  --dump-every <k>        dump estimates every k steps (0 = final only)\n"
       "  --metrics-out <path>    rewrite a Prometheus text-format metrics dump\n"
       "                          at every dump point (enables the metrics\n"
-      "                          registry; see DESIGN.md §5.11)\n"
+      "                          registry; see DESIGN.md §5.10)\n"
       "  --trace-out <path>      append pipeline stage spans as JSONL at every\n"
       "                          dump point (enables stage tracing)\n"
       "  --trace-sample <n>      record every n-th stage span (default 16;\n"
@@ -125,8 +116,6 @@ Options parse(int argc, char** argv) {
     else if (a == "--obstacles") opt.obstacles = true;
     else if (a == "--particles") opt.particles = std::stoul(next(i));
     else if (a == "--queue-capacity") opt.queue_capacity = std::stoul(next(i));
-    else if (a == "--adaptive") opt.adaptive = true;
-    else if (a == "--scoring-cache") opt.scoring_cache = std::stoul(next(i));
     else if (a == "--fused") opt.fused = true;
     else if (a == "--drop-oldest") opt.drop_oldest = true;
     else if (a == "--order-by-timestamp") opt.order_by_timestamp = true;
@@ -210,14 +199,13 @@ void dump_estimates(SessionManager& mgr, const std::vector<SessionManager::Sessi
 
 void dump_stats(SessionManager& mgr, const std::vector<SessionManager::SessionId>& ids) {
   std::cout << "session  queued  ingested  processed  applied  malformed  full  dropped"
-               "  p50_us  p99_us  budget  ess  hit%  fuse\n";
+               "  p50_us  p99_us  ess  fuse\n";
   for (const auto id : ids) {
     const SessionStats st = mgr.stats(id);
     std::cout << id << "  " << st.queue_depth << "  " << st.ingested << "  " << st.processed
               << "  " << st.applied << "  " << st.rejected_malformed << "  "
               << st.rejected_full << "  " << st.dropped_oldest << "  " << st.p50_latency_us
-              << "  " << st.p99_latency_us << "  " << st.current_budget << "  "
-              << st.ess_fraction << "  " << 100.0 * st.cache_hit_rate << "  "
+              << "  " << st.p99_latency_us << "  " << st.ess_fraction << "  "
               << st.fused_batch_len << "\n";
   }
 }
@@ -334,14 +322,6 @@ int main(int argc, char** argv) {
   cfg.localizer.filter.num_particles =
       opt.particles ? *opt.particles : scenario.recommended_particles;
   cfg.localizer.filter.fusion_range = scenario.recommended_fusion_range;
-  if (opt.adaptive) {
-    auto& f = cfg.localizer.filter;
-    f.adaptive_budget = true;
-    f.max_particles = f.num_particles;
-    f.min_particles = std::max<std::size_t>(f.num_particles / 4, 50);
-    f.ess_resample_threshold = 0.5;
-  }
-  cfg.localizer.filter.scoring_cache_entries = opt.scoring_cache;
   cfg.localizer.filter.fused_batch_updates = opt.fused;
   cfg.queue_capacity = opt.queue_capacity;
   cfg.backpressure =
