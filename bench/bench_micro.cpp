@@ -5,8 +5,10 @@
 // regressions there.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -37,6 +39,43 @@ void BM_GridIndexRebuild(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
 }
 BENCHMARK(BM_GridIndexRebuild)->Arg(2000)->Arg(15000);
+
+// What a filter reading pays instead of a rebuild: re-filing the clustered
+// subset a local resample moved (the points nearest one center, redrawn as
+// jittered copies of each other). Iterations alternate between two point
+// sets that differ only in that subset. Args: points, moved points.
+void BM_GridIndexUpdate(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto k = static_cast<std::size_t>(state.range(1));
+  Rng rng(5);
+  const AreaBounds area = make_area(100, 100);
+  std::vector<Point2> before;
+  for (std::size_t i = 0; i < n; ++i) before.push_back(uniform_point(rng, area));
+  const Point2 center = uniform_point(rng, area);
+  std::vector<std::uint32_t> moved(n);
+  std::iota(moved.begin(), moved.end(), 0u);
+  std::partial_sort(moved.begin(), moved.begin() + static_cast<std::ptrdiff_t>(k), moved.end(),
+                    [&](std::uint32_t a, std::uint32_t b) {
+                      return distance2(before[a], center) < distance2(before[b], center);
+                    });
+  moved.resize(k);
+  std::vector<Point2> after = before;
+  for (const auto i : moved) {
+    const Point2 src = before[moved[uniform_index(rng, k)]];
+    after[i] = area.clamp({src.x + normal(rng, 0.0, 1.0), src.y + normal(rng, 0.0, 1.0)});
+  }
+  const std::vector<Point2>* sides[] = {&after, &before};
+  GridIndex index(area, 14.0);
+  index.rebuild(before);
+  std::size_t it = 0;
+  for (auto _ : state) {
+    index.update(*sides[it++ & 1], moved);
+    benchmark::DoNotOptimize(index.size());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * k));
+}
+BENCHMARK(BM_GridIndexUpdate)->Args({2000, 300})->Args({15000, 550});
 
 void BM_GridIndexQuery(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -14,7 +14,7 @@ namespace {
 thread_local const ThreadPool* tls_active_pool = nullptr;
 
 // RAII marker so every execution path (including early returns) restores the
-// previous pool — a task may itself wait on a group and steal foreign jobs.
+// previous pool — a task may itself wait on a group and run its queued jobs.
 class ActivePoolScope {
  public:
   explicit ActivePoolScope(const ThreadPool* pool) : prev_(tls_active_pool) {
@@ -115,21 +115,29 @@ void ThreadPool::wait_for(Sync& sync) {
 
 std::exception_ptr ThreadPool::wait_for_collect(Sync& sync) {
   std::unique_lock lock(mu_);
+  // The first queued job of this wave (queue_.end() if none).
+  const auto own_job = [this, &sync] {
+    return std::find_if(queue_.begin(), queue_.end(),
+                        [&sync](const Job& job) { return job.sync == &sync; });
+  };
   while (sync.remaining > 0) {
-    if (!queue_.empty()) {
-      // Steal: run any queued job (ours or another wave's) instead of
-      // idling. This is what makes waiting inside pool work deadlock-free —
-      // the jobs a waiter depends on are either queued (it runs them) or
-      // already running on some thread (it blocks until they retire).
+    const auto it = own_job();
+    if (it != queue_.end()) {
+      // Steal: run one of the wave's queued jobs instead of idling. This is
+      // what makes waiting deadlock-free — the jobs a waiter depends on are
+      // either queued (it runs them) or already running on some thread (it
+      // blocks until they retire). Another wave's job is never run here, so
+      // a waiter may hold a lock that such a job takes.
       steals_.fetch_add(1, std::memory_order_relaxed);
-      Job job = std::move(queue_.front());
-      queue_.pop_front();
+      Job job = std::move(*it);
+      queue_.erase(it);
       lock.unlock();
       execute(job);
       lock.lock();
       continue;
     }
-    cv_.wait(lock, [this, &sync] { return sync.remaining == 0 || !queue_.empty(); });
+    // Sleep, not spin, while only other waves' jobs are queued.
+    cv_.wait(lock, [&] { return sync.remaining == 0 || own_job() != queue_.end(); });
   }
   // Hand the wave's first error to the caller and clear it so the Sync (a
   // reused TaskGroup's, say) starts the next wave clean.
@@ -229,7 +237,9 @@ void ThreadPool::parallel_for(std::size_t n,
 
   // Help drain the queue instead of idling: when workers are slow to wake
   // (or the host exposes fewer cores than the pool has threads) the caller
-  // executes the remaining chunks itself. Rethrows the wave's first error.
+  // executes the remaining chunks itself — only this wave's, never another
+  // wave's job, so the caller may hold a lock across the call (see the
+  // header note). Rethrows the wave's first error.
   wait_for(sync);
 }
 

@@ -14,10 +14,16 @@
 // chunk) runs inline on that thread instead of fanning out. This is both the
 // deadlock guard — pool threads never block waiting on pool threads — and
 // the oversubscription guard: N outer trials never explode into N x M inner
-// chunks. Threads that do wait (TaskGroup::wait, parallel_for's caller)
-// steal queued work instead of idling, so a waiter can never deadlock the
-// pool either. Which thread runs a chunk never affects results — chunks
-// cover disjoint index ranges and reductions stay serial in index order.
+// chunks. Threads that do wait (TaskGroup::wait, parallel_for's caller) run
+// their own wave's queued jobs instead of idling, and sleep while only other
+// waves' jobs are queued: a waiter's jobs are either queued (it runs them)
+// or already running, so a waiter can never deadlock the pool either. Never
+// running another wave's job lets a caller hold a lock across the wait,
+// which a foreign job could otherwise take again on the same thread
+// (SessionManager::estimate holds a session's drain_mu across mean-shift,
+// and that session's drain task takes it too). Which thread runs a chunk
+// never affects results — chunks cover disjoint index ranges and reductions
+// stay serial in index order.
 #pragma once
 
 #include <atomic>
@@ -85,8 +91,9 @@ class ThreadPool {
   ///                   TaskGroup::run's inline fallback on a workerless
   ///                   pool (caller-owned parallel_for chunks are not jobs)
   ///   steals          of those, jobs executed by a WAITING thread (a
-  ///                   TaskGroup/parallel_for waiter draining the queue
-  ///                   instead of idling) rather than a pool worker
+  ///                   TaskGroup/parallel_for waiter running its own
+  ///                   wave's queued jobs instead of idling) rather than a
+  ///                   pool worker
   struct PoolStats {
     std::size_t queue_depth = 0;
     std::uint64_t tasks_executed = 0;
@@ -118,10 +125,10 @@ class ThreadPool {
  public:
   /// Non-blocking task submission: run() enqueues a task on the pool and
   /// returns immediately; wait() (and the destructor) blocks until every
-  /// submitted task finished — stealing queued pool work while it waits, so
-  /// a group waiting inside pool work can never stall the pool. On a pool
-  /// with no workers (num_threads <= 1) run() executes the task inline on
-  /// the caller, preserving the serial baseline.
+  /// submitted task finished — running the group's own queued tasks while
+  /// it waits, so a group waiting inside pool work can never stall the
+  /// pool. On a pool with no workers (num_threads <= 1) run() executes the
+  /// task inline on the caller, preserving the serial baseline.
   ///
   /// Exception safety: a throwing task never escapes a worker (or run(), on
   /// the inline path). The group's first exception is captured and rethrown
@@ -155,8 +162,9 @@ class ThreadPool {
   /// Runs the job with the nesting marker set, then retires it on its Sync.
   /// A throwing job body is caught and recorded as the Sync's first error.
   void execute(Job& job);
-  /// Blocks until sync.remaining == 0, executing queued jobs while any are
-  /// available (work-stealing wait); rethrows the wave's captured exception.
+  /// Blocks until sync.remaining == 0, executing the wave's queued jobs
+  /// while any are available (work-stealing wait); rethrows the wave's
+  /// captured exception.
   void wait_for(Sync& sync);
   /// wait_for, but returns the captured exception (cleared from the Sync)
   /// instead of throwing — the destructor-safe variant.

@@ -62,7 +62,6 @@ void FusionParticleFilter::initialize_particles() {
     positions_[i] = random_position();
     strengths_[i] = random_strength();
   }
-  grid_dirty_ = true;
 }
 
 Point2 FusionParticleFilter::random_position() { return uniform_point(rng_, env_->bounds()); }
@@ -190,9 +189,15 @@ std::size_t FusionParticleFilter::process_fused(std::span<const Measurement> gro
 bool FusionParticleFilter::select_and_rate(const Point2& at, const SensorResponse& response) {
   // Span covers spatial selection, predict, and the hypothesis-rate kernels.
   const obs::ScopedSpan span(tracer_, obs::Stage::kFusionQuery);
-  if (grid_dirty_) {
+  // The one full index build waits for the first reading, so constructing a
+  // filter (opening a session) does no index work. After that only the
+  // previous reading's subset can have moved (predict, resample); it is
+  // re-filed before the query below overwrites subset_. If none of it moved
+  // cell, update() leaves the layout as it is.
+  if (!grid_.built()) {
     grid_.rebuild(positions_);
-    grid_dirty_ = false;
+  } else {
+    grid_.update(positions_, subset_);
   }
 
   // --- Selection (Eq. 5): P' = particles within the fusion range. ---
@@ -205,7 +210,6 @@ bool FusionParticleFilter::select_and_rate(const Point2& at, const SensorRespons
       movement_->evolve(rng_, positions_[i], strengths_[i]);
       positions_[i] = env_->bounds().clamp(positions_[i]);
     }
-    grid_dirty_ = true;
   }
 
   // The transmission field for this origin is prepared serially here; the
@@ -354,7 +358,7 @@ std::size_t FusionParticleFilter::apply_scores(double k_sum, double reps, double
     if (sum_sq > 0.0 &&
         new_mass * new_mass > cfg_.ess_resample_threshold * static_cast<double>(n) * sum_sq) {
       // Skip the resample: no RNG consumed; positions unchanged by this
-      // branch, so the grid stays valid unless predict already dirtied it.
+      // branch.
       ++resamples_skipped_;
       return subset.size();
     }
@@ -363,7 +367,6 @@ std::size_t FusionParticleFilter::apply_scores(double k_sum, double reps, double
   // --- Resample P'' locally (Sec. V-E). ---
   resample_subset(subset, subset_mass_before);
   ++resamples_performed_;
-  grid_dirty_ = true;
 
   return subset.size();
 }

@@ -212,8 +212,9 @@ class FusionParticleFilter {
 
   std::unique_ptr<MovementModel> movement_;
   bool movement_is_static_ = true;  ///< hoisted dynamic_cast (set_movement_model)
+  /// Built at the first reading; after that each selection re-files the
+  /// previous reading's subset_, the only particles predict/resample move.
   GridIndex grid_;
-  bool grid_dirty_ = true;
   std::uint64_t iteration_ = 0;
   std::uint64_t particles_scored_ = 0;
   std::uint64_t resamples_performed_ = 0;

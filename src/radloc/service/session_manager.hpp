@@ -149,7 +149,8 @@ struct ServiceObservability {
 /// Multiplexes many independent MultiSourceLocalizer sessions over one
 /// shared ThreadPool. ingest() is safe from any thread; drain()/drain(id)
 /// may run concurrently with ingests (each drain processes the backlog
-/// snapshot taken at its start). open/close are safe from any thread, but
+/// snapshot taken at its start) and with estimate() calls from other
+/// threads. open/close are safe from any thread, but
 /// close() must not race a drain of the SAME session it is closing — the
 /// caller owns session lifecycle.
 class SessionManager {
@@ -195,7 +196,10 @@ class SessionManager {
   [[nodiscard]] SessionStats stats(SessionId id) const;
 
   /// Runs the mean-shift estimate on the session's current particle cloud.
-  /// Serialized against drains of the same session.
+  /// Thread-safe: it may run concurrently with ingest() and with drain_all()
+  /// or drain() called from other threads. It holds the session's drain lock
+  /// for the whole mean-shift, so it is serialized against drains of the
+  /// same session, which wait behind it; other sessions keep draining.
   std::vector<SourceEstimate> estimate(SessionId id);
 
   /// The session's localizer, for diagnostics and tests. Do not call

@@ -512,25 +512,51 @@ std::uint64_t state_fingerprint(const FusionParticleFilter& f) {
   return h;
 }
 
+/// Feeds three sweeps of scenario A through `filter` and returns its state
+/// fingerprint. Every reading's |P'| must be 0 (a degenerate update) or the
+/// brute-force count of particles within the fusion range just before it,
+/// so a stale spatial index cannot hide behind a matching fingerprint.
+std::uint64_t run_golden_sweeps(FusionParticleFilter& filter, const Scenario& sc) {
+  MeasurementSimulator sim(sc.env, sc.sensors, sc.sources);
+  Rng sim_rng(7);
+  const double r2 = filter.config().fusion_range * filter.config().fusion_range;
+  for (int step = 0; step < 3; ++step) {
+    for (const Measurement& m : sim.sample_time_step(sim_rng)) {
+      const Point2 at = sc.sensors[m.sensor].pos;
+      const auto positions = filter.positions();
+      const auto in_range = static_cast<std::size_t>(std::count_if(
+          positions.begin(), positions.end(),
+          [&](const Point2& p) { return distance2(p, at) <= r2; }));
+      const std::size_t updated = filter.process(m);
+      EXPECT_TRUE(updated == 0 || updated == in_range)
+          << "sensor " << m.sensor << ": |P'| " << updated << " vs " << in_range << " in range";
+    }
+  }
+  return state_fingerprint(filter);
+}
+
 TEST(FusionFilter, DefaultPathMatchesSeedGolden) {
-  // Fingerprint captured from the seed build: scenario A, three sweeps,
-  // fixed seeds, scalar tier. Any change to the default per-reading path
-  // (selection, rates, Poisson scoring, resample) shows up here.
+  // Fingerprints of scenario A, three sweeps, fixed seeds, scalar tier. The
+  // static one was captured from the seed build; the random-walk one (whose
+  // predict step moves the fusion subset before it is rescored) from the
+  // build before the spatial index was maintained incrementally. Any change
+  // to the per-reading path (selection, predict, rates, Poisson scoring,
+  // resample) shows up here.
   simd::force_tier(simd::Tier::kScalar);
   const Scenario sc = make_scenario_a(10.0);
   FilterConfig cfg;
   cfg.num_particles = 600;
   cfg.fusion_range = sc.recommended_fusion_range;
-  FusionParticleFilter filter(sc.env, sc.sensors, cfg, Rng(42));
-  MeasurementSimulator sim(sc.env, sc.sensors, sc.sources);
-  Rng sim_rng(7);
-  for (int step = 0; step < 3; ++step) {
-    for (const Measurement& m : sim.sample_time_step(sim_rng)) (void)filter.process(m);
-  }
-  const std::uint64_t h = state_fingerprint(filter);
+  FusionParticleFilter still(sc.env, sc.sensors, cfg, Rng(42));
+  const std::uint64_t h_static = run_golden_sweeps(still, sc);
+  FusionParticleFilter walking(sc.env, sc.sensors, cfg, Rng(42));
+  walking.set_movement_model(std::make_unique<RandomWalkMovement>(1.0));
+  const std::uint64_t h_walk = run_golden_sweeps(walking, sc);
   simd::reset_tier();
-  EXPECT_EQ(h, 0xbf58403a314a0840ULL) << "default filter path drifted from the seed";
-  EXPECT_EQ(filter.resamples_skipped(), 0u);
+  EXPECT_EQ(h_static, 0xbf58403a314a0840ULL) << "default filter path drifted from the seed";
+  EXPECT_EQ(still.resamples_skipped(), 0u);
+  EXPECT_EQ(h_walk, 0xfc7cd3a555e5649eULL) << "random-walk filter path drifted";
+  EXPECT_GT(walking.resamples_performed(), 0u);
 }
 
 TEST(EssGate, RejectsInvalidThresholdAtConstruction) {

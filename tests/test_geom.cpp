@@ -197,6 +197,40 @@ TEST(GridIndex, EmptyAndRebuild) {
   EXPECT_EQ(found.size(), 1u);
 }
 
+TEST(GridIndex, UpdateRejectsMisuse) {
+  const AreaBounds area = make_area(10, 10);
+  GridIndex index(area, 2.0);
+  std::vector<Point2> pts{{1, 1}, {9, 9}, {5, 5}};
+  const std::vector<std::uint32_t> moved{1};
+  // update() adjusts the cell ids of a previous build; there is none yet.
+  EXPECT_THROW(index.update(pts, moved), std::invalid_argument);
+  EXPECT_THROW(index.update({}, {}), std::invalid_argument);
+
+  index.rebuild(pts);
+  pts[1] = {3, 3};
+  EXPECT_NO_THROW(index.update(pts, moved));
+  // A different point count, or an index past the end, is a caller bug.
+  pts.push_back({7, 7});
+  EXPECT_THROW(index.update(pts, moved), std::invalid_argument);
+  pts.pop_back();
+  EXPECT_THROW(index.update(pts, std::vector<std::uint32_t>{3}), std::invalid_argument);
+
+  std::vector<std::uint32_t> found;
+  index.query_radius(pts, {3, 3}, 0.5, found);
+  EXPECT_EQ(found, (std::vector<std::uint32_t>{1}));
+
+  // A valid index that changed cell, then a bad one: the throw must leave
+  // the index untouched, so re-filing the move afterwards still works.
+  pts[0] = {9, 1};
+  EXPECT_THROW(index.update(pts, std::vector<std::uint32_t>{0, 3}), std::invalid_argument);
+  index.update(pts, {});
+  index.query_radius(pts, {9, 1}, 0.5, found);
+  EXPECT_TRUE(found.empty());  // point 0 is still filed in its old cell
+  index.update(pts, std::vector<std::uint32_t>{0});
+  index.query_radius(pts, {9, 1}, 0.5, found);
+  EXPECT_EQ(found, (std::vector<std::uint32_t>{0}));
+}
+
 TEST(GridIndex, RejectsBadConstruction) {
   EXPECT_THROW(GridIndex(make_area(10, 10), 0.0), std::invalid_argument);
   EXPECT_THROW(GridIndex(AreaBounds{{0, 0}, {0, 10}}, 1.0), std::invalid_argument);

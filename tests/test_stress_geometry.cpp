@@ -1,7 +1,8 @@
 // Deterministic stress harness for the geometry layer: TransmissionCache
 // pointer stability under capacity pressure and revision churn, pathological
 // obstacle shapes, and GridIndex radius queries checked against brute force
-// through rebuild churn and boundary cases.
+// through rebuild churn and boundary cases, and against a fresh rebuild
+// through incremental update() churn.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -224,6 +225,96 @@ TEST(StressGeometry, GridIndexSurvivesRebuildChurnAndDegenerateSets) {
     ASSERT_EQ(index.size(), n);
     expect_matches_brute_force(index, points, uniform_point(rng, area), 12.0);
   }
+}
+
+/// Asserts that `index` answers every query with the same indices, in the
+/// same order, as an index rebuilt from scratch over `points` — the order
+/// is what keeps the filter's fusion subset, and so its RNG draws and
+/// floating-point sums, unchanged by incremental maintenance.
+void expect_same_as_rebuilt(const GridIndex& index, const AreaBounds& area, double cell,
+                            const std::vector<Point2>& points, Rng& rng) {
+  GridIndex fresh(area, cell);
+  fresh.rebuild(points);
+  ASSERT_EQ(index.size(), fresh.size());
+  std::vector<std::uint32_t> got;
+  std::vector<std::uint32_t> want;
+  for (const double radius : {0.0, 2.5, 5.0, 12.0, 40.0, 1000.0}) {
+    const Point2 centers[] = {uniform_point(rng, area), uniform_point(rng, area),
+                              uniform_point(rng, area), {0.0, 0.0},
+                              {cell * 3.0, cell * 7.0}, {-20.0, 130.0}};
+    for (const Point2& center : centers) {
+      index.query_radius(points, center, radius, got);
+      fresh.query_radius(points, center, radius, want);
+      ASSERT_EQ(got, want) << "center (" << center.x << ", " << center.y << ") radius "
+                           << radius;
+    }
+    expect_matches_brute_force(index, points, centers[0], radius);
+  }
+}
+
+TEST(StressGeometry, GridIndexUpdateMatchesRebuildThroughPartialMoves) {
+  const AreaBounds area = make_area(100.0, 100.0);
+  constexpr double kCell = 5.0;
+  Rng rng(31);
+  std::vector<Point2> points;
+  for (int i = 0; i < 800; ++i) points.push_back(uniform_point(rng, area));
+  GridIndex index(area, kCell);
+  index.rebuild(points);
+
+  std::vector<std::uint32_t> moved;
+  const auto move_to = [&](std::uint64_t i, const Point2& p) {
+    points[i] = p;
+    moved.push_back(static_cast<std::uint32_t>(i));
+  };
+  const auto on_grid_line = [&] { return kCell * static_cast<double>(uniform_index(rng, 21)); };
+  for (int round = 0; round < 40; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    moved.clear();
+    switch (round % 5) {
+      case 0: {
+        // A clustered subset, the way a local resample moves it: jittered
+        // copies around a center, some pushed past the area's edge.
+        const Point2 c = uniform_point(rng, area);
+        for (std::uint32_t i = 0; i < points.size(); ++i) {
+          if (distance2(points[i], c) <= 15.0 * 15.0) {
+            move_to(i, {c.x + normal(rng, 0.0, 6.0), c.y + normal(rng, 0.0, 6.0)});
+          }
+        }
+        break;
+      }
+      case 1:
+        // Onto cell borders, the area's edges and its corners.
+        for (int k = 0; k < 40; ++k) {
+          move_to(uniform_index(rng, points.size()), {on_grid_line(), on_grid_line()});
+        }
+        break;
+      case 2:
+        // Far outside the bounds (clamped into border cells), with every
+        // index listed at least twice.
+        for (int k = 0; k < 20; ++k) {
+          move_to(uniform_index(rng, 8), {uniform(rng, -60.0, 160.0), uniform(rng, -60.0, 160.0)});
+          moved.push_back(moved.back());
+        }
+        break;
+      case 3:
+        // Nothing moved.
+        break;
+      default:
+        // Every point moved.
+        for (std::uint32_t i = 0; i < points.size(); ++i) move_to(i, uniform_point(rng, area));
+        break;
+    }
+    index.update(points, moved);
+    expect_same_as_rebuilt(index, area, kCell, points, rng);
+  }
+
+  // Listed but not moved at all, and moved within its own cell: the index
+  // must still match a rebuild.
+  moved.assign({3, 3, 17});
+  points[17] = {std::floor(points[17].x / kCell) * kCell + 0.5 * kCell,
+                std::floor(points[17].y / kCell) * kCell + 0.5 * kCell};
+  index.update(points, moved);
+  expect_same_as_rebuilt(index, area, kCell, points, rng);
 }
 
 }  // namespace

@@ -12,11 +12,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "radloc/eval/scenarios.hpp"
 #include "radloc/obs/export.hpp"
 #include "radloc/rng/distributions.hpp"
 #include "radloc/sensornet/delivery.hpp"
@@ -315,6 +319,80 @@ TEST(StressServiceObs, EnabledObservabilityKeepsDeterminismAndSnapshotConsistenc
     for (const auto id : ids) known = known || e.session == id;
     EXPECT_TRUE(known) << e.session;
   }
+}
+
+// estimate() beside drain_all() on another thread. estimate() holds its
+// session's drain_mu across mean-shift's parallel_for; when that call's
+// wait ran any queued job, it could pick up the same session's drain task
+// and lock drain_mu a second time on the same thread, freezing both loops
+// within the first few rounds. A hang cannot be joined, so a watchdog ends
+// the process if the loops do not stop within 20 s of being told to.
+TEST(StressServiceDeadlock, EstimateBesideDrainAllKeepsBothLoopsRunning) {
+  using Clock = std::chrono::steady_clock;
+  constexpr std::size_t kSessions = 16;
+  constexpr std::size_t kFloor = 8;  // a frozen pair of loops stops at a handful
+  const Scenario sc = make_scenario_a();
+
+  // Two threads and a fan-out of two whatever the host: mean-shift's
+  // parallel_for must really queue a chunk for the wait to matter.
+  ThreadPool pool(2, /*max_fanout=*/2);
+  SessionManager mgr(pool);
+  SessionConfig cfg;
+  cfg.localizer.filter.num_particles = 600;
+  cfg.localizer.filter.fusion_range = sc.recommended_fusion_range;
+  std::vector<SessionManager::SessionId> ids;
+  for (std::size_t k = 0; k < kSessions; ++k) {
+    ids.push_back(mgr.open(sc.env, sc.sensors, cfg, 100 + k));
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> drains{0};
+  std::atomic<std::size_t> queries{0};
+  std::atomic<std::size_t> finished{0};
+  std::thread ingest_and_drain([&] {
+    MeasurementSimulator sim(sc.env, sc.sensors, sc.sources);
+    Rng noise(5);
+    for (double t = 0.0; !stop.load(); t += 1.0) {
+      const std::vector<Measurement> step = sim.sample_time_step(noise);
+      for (const auto id : ids) {
+        for (const Measurement& m : step) (void)mgr.ingest(id, SessionReading{t, m});
+      }
+      (void)mgr.drain_all();
+      drains.fetch_add(1);
+    }
+    finished.fetch_add(1);
+  });
+  std::thread query([&] {
+    for (std::size_t k = 0; !stop.load(); ++k) {
+      (void)mgr.estimate(ids[k % kSessions]);
+      queries.fetch_add(1);
+    }
+    finished.fetch_add(1);
+  });
+
+  // Run until both loops pass the floor (at least 1 s, at most 5 s).
+  const auto start = Clock::now();
+  while (Clock::now() - start < std::chrono::seconds(5) &&
+         (Clock::now() - start < std::chrono::seconds(1) || drains.load() < kFloor ||
+          queries.load() < kFloor)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  stop.store(true);
+  const auto stopped = Clock::now();
+  while (finished.load() < 2) {
+    if (Clock::now() - stopped > std::chrono::seconds(20)) {
+      std::fprintf(stderr,
+                   "StressServiceDeadlock: loops hung after %zu drains and %zu queries\n",
+                   drains.load(), queries.load());
+      std::fflush(stderr);
+      std::_Exit(EXIT_FAILURE);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  ingest_and_drain.join();
+  query.join();
+  EXPECT_GE(drains.load(), kFloor);
+  EXPECT_GE(queries.load(), kFloor);
 }
 
 }  // namespace

@@ -5,9 +5,10 @@ Usage:
     tools/bench_compare.py [--fresh-dir DIR] [--baseline-dir DIR]
                            [--threshold FRAC] [--strict] [name ...]
 
-Compares every requested bench (default: weight_update,
+Compares every requested bench (default: table1, weight_update,
 experiment_throughput, session_multiplex, telemetry_overhead) whose
-BENCH_<name>.json exists in BOTH directories.
+BENCH_<name>.json exists in BOTH directories; table1 carries the paper's
+Table I rows (per-iteration filter and mean-shift time vs NP and threads).
 Rows are matched on (scenario, config, metric, threads); the direction of
 "better" is inferred from the metric name (rates and speedups up, times and
 errors down). Changes beyond the threshold (default 15%) are printed as
@@ -27,6 +28,7 @@ import os
 import sys
 
 DEFAULT_BENCHES = [
+    "table1",
     "weight_update",
     "experiment_throughput",
     "session_multiplex",
