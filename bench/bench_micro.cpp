@@ -1,6 +1,6 @@
 // Micro-benchmarks of the hot primitives (google-benchmark): spatial grid
-// queries, chord-length ray casts, Poisson sampling, the Poisson log-PMF,
-// one filter iteration, and one mean-shift ascent. These are the kernels
+// queries and re-filing, the local resample, chord-length ray casts, normal
+// and Poisson sampling, the Poisson log-PMF, and one filter iteration. These are the kernels
 // Table I's end-to-end time decomposes into; regressions here explain
 // regressions there.
 #include <benchmark/benchmark.h>
@@ -15,8 +15,10 @@
 #include "bench_util.hpp"
 #include "radloc/common/math.hpp"
 #include "radloc/filter/particle_filter.hpp"
+#include "radloc/filter/resample.hpp"
 #include "radloc/geom/grid_index.hpp"
 #include "radloc/geom/intersect.hpp"
+#include "radloc/geom/slotted_grid_index.hpp"
 #include "radloc/geom/shapes.hpp"
 #include "radloc/rng/distributions.hpp"
 #include "radloc/sensornet/placement.hpp"
@@ -40,11 +42,12 @@ void BM_GridIndexRebuild(benchmark::State& state) {
 }
 BENCHMARK(BM_GridIndexRebuild)->Arg(2000)->Arg(15000);
 
-// What a filter reading pays instead of a rebuild: re-filing the clustered
-// subset a local resample moved (the points nearest one center, redrawn as
-// jittered copies of each other). Iterations alternate between two point
-// sets that differ only in that subset. Args: points, moved points.
-void BM_GridIndexUpdate(benchmark::State& state) {
+// What a filter reading pays to keep its particle index current: re-filing
+// the clustered subset a local resample moved (the points nearest one
+// center, redrawn as jittered copies of each other) in the filter's
+// SlottedGridIndex. Iterations alternate between two point sets that differ
+// only in that subset. Args: points, moved points.
+void BM_SlottedGridIndexUpdate(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto k = static_cast<std::size_t>(state.range(1));
   Rng rng(5);
@@ -65,7 +68,7 @@ void BM_GridIndexUpdate(benchmark::State& state) {
     after[i] = area.clamp({src.x + normal(rng, 0.0, 1.0), src.y + normal(rng, 0.0, 1.0)});
   }
   const std::vector<Point2>* sides[] = {&after, &before};
-  GridIndex index(area, 14.0);
+  SlottedGridIndex index(area, 14.0);
   index.rebuild(before);
   std::size_t it = 0;
   for (auto _ : state) {
@@ -74,8 +77,80 @@ void BM_GridIndexUpdate(benchmark::State& state) {
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * k));
+  state.counters["relayouts"] = benchmark::Counter(static_cast<double>(index.relayouts()),
+                                                   benchmark::Counter::kAvgIterations);
 }
-BENCHMARK(BM_GridIndexUpdate)->Args({2000, 300})->Args({15000, 550});
+BENCHMARK(BM_SlottedGridIndexUpdate)->Args({2000, 300})->Args({15000, 550});
+
+// The fusion-disk query on the filter's index, for comparison with
+// BM_GridIndexQuery (same points, pitch and radius).
+void BM_SlottedGridIndexQuery(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(2);
+  const AreaBounds area = make_area(100, 100);
+  std::vector<Point2> pts;
+  for (std::size_t i = 0; i < n; ++i) pts.push_back(uniform_point(rng, area));
+  SlottedGridIndex index(area, 14.0);
+  index.rebuild(pts);
+  std::vector<std::uint32_t> out;
+  std::vector<std::uint32_t> cells;
+  for (auto _ : state) {
+    index.query_radius(pts, uniform_point(rng, area), 28.0, out, cells);
+    benchmark::DoNotOptimize(out.size());
+  }
+}
+BENCHMARK(BM_SlottedGridIndexQuery)->Arg(2000)->Arg(15000);
+
+// The fusion filter's local resample of one reading's subset at Scenario-C
+// scale: 15000 particles over 260 x 260 with index pitch 16, and a subset of
+// the 550 particles nearest a source, weighted by closeness to it. Each
+// iteration first re-weights the subset and looks up its cells (which the
+// filter's scoring and query provide), so the cloud stays clustered.
+void BM_ResampleSubset(benchmark::State& state) {
+  constexpr std::size_t kParticles = 15000;
+  constexpr std::size_t kSubset = 550;
+  const AreaBounds area = make_area(260, 260);
+  FilterConfig cfg;
+  cfg.num_particles = kParticles;
+  LocalResampler resampler(cfg, area);
+  Rng rng(8);
+  std::vector<Point2> positions(kParticles);
+  std::vector<double> strengths(kParticles);
+  std::vector<double> weights(kParticles, 1.0 / static_cast<double>(kParticles));
+  for (std::size_t i = 0; i < kParticles; ++i) {
+    positions[i] = resampler.random_position(rng);
+    strengths[i] = resampler.random_strength(rng);
+  }
+  const Point2 source{130.0, 130.0};
+  std::vector<std::uint32_t> subset(kParticles);
+  std::iota(subset.begin(), subset.end(), 0u);
+  std::partial_sort(subset.begin(), subset.begin() + kSubset, subset.end(),
+                    [&](std::uint32_t a, std::uint32_t b) {
+                      return distance2(positions[a], source) < distance2(positions[b], source);
+                    });
+  subset.resize(kSubset);
+  const double mass = static_cast<double>(kSubset) / static_cast<double>(kParticles);
+  SlottedGridIndex index(area, 16.0);
+  index.rebuild(positions);
+  std::vector<std::uint32_t> cells(kSubset);
+  std::vector<double> posterior(kSubset);
+  std::vector<std::uint32_t> moved;
+  for (auto _ : state) {
+    for (std::size_t k = 0; k < kSubset; ++k) {
+      const Point2& p = positions[subset[k]];
+      cells[k] = index.cell_id(p);
+      posterior[k] = 1.0 / (1.0 + distance2(p, source));
+    }
+    resampler.resample(rng, subset, cells, posterior, mass,
+                       ParticleSpans{positions, strengths, weights}, index, moved);
+    index.update(positions, moved);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kSubset));
+  state.counters["relayouts"] = benchmark::Counter(static_cast<double>(index.relayouts()),
+                                                   benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_ResampleSubset)->Unit(benchmark::kMicrosecond);
 
 void BM_GridIndexQuery(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -112,6 +187,14 @@ void BM_PoissonSample(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PoissonSample)->Arg(5)->Arg(100)->Arg(10000);
+
+void BM_Normal(benchmark::State& state) {
+  Rng rng(9);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(normal(rng));
+  }
+}
+BENCHMARK(BM_Normal);
 
 void BM_PoissonLogPmf(benchmark::State& state) {
   Rng rng(5);

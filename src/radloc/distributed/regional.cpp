@@ -83,28 +83,50 @@ std::vector<SourceEstimate> RegionalLocalizerGrid::estimate() {
     if (tiles_[t]->localizer) per_tile[t] = tiles_[t]->localizer->estimate();
   });
 
-  // Core ownership: a tile only reports sources inside its own core, so
-  // the same physical source seen by two overlapping tiles is reported by
-  // exactly one. Points on shared edges belong to the lower-index tile
-  // (contains() is boundary-inclusive; de-dup by construction order).
-  std::vector<SourceEstimate> merged;
-  for (std::size_t t = 0; t < tiles_.size(); ++t) {
+  std::vector<AreaBounds> cores;
+  cores.reserve(tiles_.size());
+  for (const auto& tile : tiles_) cores.push_back(tile->core);
+  return merge_tile_estimates(per_tile, cores, cfg_.localizer.meanshift.merge_radius);
+}
+
+std::vector<SourceEstimate> merge_tile_estimates(
+    std::span<const std::vector<SourceEstimate>> per_tile, std::span<const AreaBounds> cores,
+    double merge_radius) {
+  require(per_tile.size() == cores.size(), "one core per tile");
+  struct Owned {
+    SourceEstimate estimate;
+    std::size_t tile;
+  };
+  // Core ownership: a tile only reports sources inside its own core, and
+  // points on shared edges belong to the lower-index tile (contains() is
+  // boundary-inclusive).
+  std::vector<Owned> owned;
+  for (std::size_t t = 0; t < per_tile.size(); ++t) {
     for (const auto& e : per_tile[t]) {
-      if (!tiles_[t]->core.contains(e.pos)) continue;
-      bool edge_duplicate = false;
-      for (std::size_t prev = 0; prev < t; ++prev) {
-        if (tiles_[prev]->core.contains(e.pos)) {
-          edge_duplicate = true;
-          break;
-        }
-      }
-      if (!edge_duplicate) merged.push_back(e);
+      if (!cores[t].contains(e.pos)) continue;
+      const auto earlier = cores.first(t);
+      const bool edge_duplicate = std::any_of(
+          earlier.begin(), earlier.end(), [&](const AreaBounds& c) { return c.contains(e.pos); });
+      if (!edge_duplicate) owned.push_back({e, t});
     }
   }
-  std::sort(merged.begin(), merged.end(),
-            [](const SourceEstimate& a, const SourceEstimate& b) {
-              return a.support > b.support;
-            });
+  std::stable_sort(owned.begin(), owned.end(), [](const Owned& a, const Owned& b) {
+    return a.estimate.support > b.estimate.support;
+  });
+  // Ownership alone reports a source twice when its modes fell on opposite
+  // sides of a seam; the stronger one stands for both.
+  const double merge2 = merge_radius * merge_radius;
+  std::vector<SourceEstimate> merged;
+  std::vector<std::size_t> merged_tile;
+  for (const Owned& o : owned) {
+    bool duplicate = false;
+    for (std::size_t k = 0; k < merged.size() && !duplicate; ++k) {
+      duplicate = merged_tile[k] != o.tile && distance2(merged[k].pos, o.estimate.pos) <= merge2;
+    }
+    if (duplicate) continue;
+    merged.push_back(o.estimate);
+    merged_tile.push_back(o.tile);
+  }
   return merged;
 }
 

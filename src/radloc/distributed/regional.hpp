@@ -6,8 +6,10 @@
 // independent localizer per tile over the sensors in (tile + margin), and
 // route each measurement to the tiles whose margin contains its sensor.
 // Tiles never communicate; a cheap merge step at the fusion center
-// concatenates their estimates, with each tile reporting only sources
-// inside its CORE rectangle so overlaps cannot double-report.
+// (merge_tile_estimates) concatenates their estimates, with each tile
+// reporting only sources inside its CORE rectangle, and collapses estimates
+// of neighbouring tiles that sit within the mean-shift merge radius of each
+// other: one source near a seam can put a mode on each side of it.
 //
 // Payoffs: per-tile state is smaller (particle count scales with tile
 // area), tiles process in parallel (true multi-core scaling beyond the
@@ -25,6 +27,15 @@
 #include "radloc/sensornet/sensor.hpp"
 
 namespace radloc {
+
+/// The fusion center's merge of per-tile estimates. Tile t keeps only its
+/// estimates inside cores[t] (a point on a shared edge belongs to the
+/// lower-index tile). Then, in order of descending support, an estimate is
+/// dropped if one already kept from a different tile lies within
+/// `merge_radius`. The result is sorted by descending support.
+[[nodiscard]] std::vector<SourceEstimate> merge_tile_estimates(
+    std::span<const std::vector<SourceEstimate>> per_tile, std::span<const AreaBounds> cores,
+    double merge_radius);
 
 struct RegionalConfig {
   std::size_t tiles_x = 2;
@@ -51,8 +62,8 @@ class RegionalLocalizerGrid {
   /// tiles in parallel.
   void process_time_step(std::span<const Measurement> batch);
 
-  /// Tile estimates concatenated under core ownership (no duplicates by
-  /// construction), sorted by support.
+  /// Tile estimates merged by merge_tile_estimates() with the localizer's
+  /// mean-shift merge radius, sorted by support.
   [[nodiscard]] std::vector<SourceEstimate> estimate();
 
   [[nodiscard]] std::size_t num_tiles() const { return tiles_.size(); }

@@ -75,7 +75,7 @@ struct FilterConfig {
   /// effective sample size fraction ESS/|P'| exceeds this threshold — a
   /// near-uniform subset gains nothing from resampling, so the pass (and its
   /// RNG draws) is pure cost. Any value >= 1.0 disables the gate entirely:
-  /// the default path resamples every update, bit-identical to the seed.
+  /// the default path resamples every update.
   double ess_resample_threshold = 1.0;
 
   // The scoring cache and the adaptive particle budget were removed

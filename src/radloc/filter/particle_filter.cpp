@@ -6,9 +6,7 @@
 
 #include "radloc/common/math.hpp"
 #include "radloc/concurrency/thread_pool.hpp"
-#include "radloc/filter/resample.hpp"
 #include "radloc/radiation/intensity_model.hpp"
-#include "radloc/rng/distributions.hpp"
 #include "radloc/simd/simd.hpp"
 
 namespace radloc {
@@ -26,10 +24,10 @@ FusionParticleFilter::FusionParticleFilter(const Environment& env, std::vector<S
     : env_(&env),
       sensors_(std::move(sensors)),
       cfg_(cfg),
-      rng_(rng),
+      resampler_(cfg, env.bounds()),
       validator_(sensors_.size()),
       movement_(std::make_unique<StaticMovement>()),
-      grid_(env.bounds(), index_cell_size(cfg)) {
+      index_(env.bounds(), index_cell_size(cfg)) {
   require(cfg_.num_particles > 0, "filter needs at least one particle");
   require(cfg_.fusion_range > 0.0, "fusion range must be positive");
   require(cfg_.resample_noise_sigma >= 0.0, "resample noise must be non-negative");
@@ -47,10 +45,11 @@ FusionParticleFilter::FusionParticleFilter(const Environment& env, std::vector<S
   if (cfg_.use_known_obstacles && cfg_.use_transmission_cache) {
     cache_ = std::make_unique<TransmissionCache>(*env_, cfg_.transmission_cache_cell);
   }
-  initialize_particles();
+  initialize_particles(rng);
+  stream_key_ = rng();
 }
 
-void FusionParticleFilter::initialize_particles() {
+void FusionParticleFilter::initialize_particles(Rng& rng) {
   const std::size_t np = cfg_.num_particles;
   positions_.resize(np);
   strengths_.resize(np);
@@ -59,18 +58,9 @@ void FusionParticleFilter::initialize_particles() {
   simd::assert_vector_aligned(strengths_.data());
   simd::assert_vector_aligned(weights_.data());
   for (std::size_t i = 0; i < np; ++i) {
-    positions_[i] = random_position();
-    strengths_[i] = random_strength();
+    positions_[i] = resampler_.random_position(rng);
+    strengths_[i] = resampler_.random_strength(rng);
   }
-}
-
-Point2 FusionParticleFilter::random_position() { return uniform_point(rng_, env_->bounds()); }
-
-double FusionParticleFilter::random_strength() {
-  if (cfg_.log_uniform_strength) {
-    return std::exp(uniform(rng_, std::log(cfg_.strength_min), std::log(cfg_.strength_max)));
-  }
-  return uniform(rng_, cfg_.strength_min, cfg_.strength_max);
 }
 
 double FusionParticleFilter::hypothesis_rate(const Point2& at, const SensorResponse& response,
@@ -190,26 +180,29 @@ bool FusionParticleFilter::select_and_rate(const Point2& at, const SensorRespons
   // Span covers spatial selection, predict, and the hypothesis-rate kernels.
   const obs::ScopedSpan span(tracer_, obs::Stage::kFusionQuery);
   // The one full index build waits for the first reading, so constructing a
-  // filter (opening a session) does no index work. After that only the
-  // previous reading's subset can have moved (predict, resample); it is
-  // re-filed before the query below overwrites subset_. If none of it moved
-  // cell, update() leaves the layout as it is.
-  if (!grid_.built()) {
-    grid_.rebuild(positions_);
+  // filter (opening a session) does no index work. After that, the particles
+  // the previous resample put into another cell are re-filed here, O(|P'|).
+  if (!index_.built()) {
+    index_.rebuild(positions_);
   } else {
-    grid_.update(positions_, subset_);
+    index_.update(positions_, refile_);
   }
+  refile_.clear();
 
   // --- Selection (Eq. 5): P' = particles within the fusion range. ---
-  grid_.query_radius(positions_, at, cfg_.fusion_range, subset_);
+  index_.query_radius(positions_, at, cfg_.fusion_range, subset_, subset_cells_);
   if (subset_.empty()) return false;
+  rng_ = Rng::stream(stream_key_, iteration_);
 
   // --- Predict: evolve the selected hypotheses. ---
   if (!movement_is_static_) {
-    for (const auto i : subset_) {
+    for (std::size_t k = 0; k < subset_.size(); ++k) {
+      const auto i = subset_[k];
       movement_->evolve(rng_, positions_[i], strengths_[i]);
       positions_[i] = env_->bounds().clamp(positions_[i]);
+      subset_cells_[k] = index_.cell_id(positions_[i]);
     }
+    index_.update(positions_, subset_);
   }
 
   // The transmission field for this origin is prepared serially here; the
@@ -339,86 +332,37 @@ std::size_t FusionParticleFilter::apply_scores(double k_sum, double reps, double
   if (new_mass <= 0.0 || !std::isfinite(new_mass)) return 0;  // degenerate update: skip
   particles_scored_ += n;
 
-  // Scale the posterior subset weights so the subset keeps its prior mass,
-  // then write back. Global weights remain normalized.
-  const double scale = subset_mass_before / new_mass;
-  for (std::size_t k = 0; k < subset.size(); ++k) {
-    weights_[subset[k]] = subset_weights_[k] * scale;
-  }
-
   // ESS gate: a near-uniform posterior subset gains nothing from resampling.
   // ESS is scale-invariant, so it is computed on the unscaled posterior
   // weights (new_mass is already their sum). Thresholds >= 1.0 short-circuit
-  // — no extra pass, no behavior change, bit-identical to the seed (FP
-  // rounding can push the fraction of an exactly uniform subset marginally
-  // above 1.0, so `frac > threshold` alone would not preserve that).
+  // with no extra pass (FP rounding can push the fraction of an exactly
+  // uniform subset marginally above 1.0, so `frac > threshold` alone would
+  // not always resample).
   if (cfg_.ess_resample_threshold < 1.0) {
     double sum_sq = 0.0;
     for (std::size_t k = 0; k < n; ++k) sum_sq += subset_weights_[k] * subset_weights_[k];
     if (sum_sq > 0.0 &&
         new_mass * new_mass > cfg_.ess_resample_threshold * static_cast<double>(n) * sum_sq) {
-      // Skip the resample: no RNG consumed; positions unchanged by this
-      // branch.
+      // Skip the resample: scale the posterior so the subset keeps its prior
+      // mass (global weights stay normalized), and leave positions as they
+      // are.
+      const double scale = subset_mass_before / new_mass;
+      for (std::size_t k = 0; k < n; ++k) weights_[subset[k]] = subset_weights_[k] * scale;
       ++resamples_skipped_;
-      return subset.size();
+      return n;
     }
   }
 
-  // --- Resample P'' locally (Sec. V-E). ---
-  resample_subset(subset, subset_mass_before);
+  // --- Resample P'' locally (Sec. V-E), straight from the unscaled
+  // posterior; it writes every slot's weight (the subset's prior mass,
+  // shared evenly) once. ---
+  {
+    const obs::ScopedSpan resample_span(tracer_, obs::Stage::kResample);
+    resampler_.resample(rng_, subset, subset_cells_, subset_weights_, subset_mass_before,
+                        ParticleSpans{positions_, strengths_, weights_}, index_, refile_);
+  }
   ++resamples_performed_;
-
-  return subset.size();
-}
-
-void FusionParticleFilter::resample_subset(std::span<const std::uint32_t> subset,
-                                           double subset_mass) {
-  const obs::ScopedSpan span(tracer_, obs::Stage::kResample);
-  subset_weights_.resize(subset.size());
-  for (std::size_t k = 0; k < subset.size(); ++k) subset_weights_[k] = weights_[subset[k]];
-
-  systematic_resample(rng_, subset_weights_, subset.size(), picks_);
-
-  // Materialize the resampled hypotheses before overwriting the slots.
-  // picks_/drawn_ are members: a steady-state reading reuses their capacity
-  // instead of allocating (tests/test_alloc_steady.cpp).
-  auto& drawn = drawn_;
-  drawn.clear();
-  drawn.reserve(picks_.size());
-  std::uint32_t prev = std::numeric_limits<std::uint32_t>::max();
-  for (const auto k : picks_) {
-    const auto i = subset[k];
-    Drawn d{positions_[i], strengths_[i]};
-    if (k == prev) {
-      // Duplicated particle: regularization jitter (Gordon et al. [24]).
-      d.pos.x += normal(rng_, 0.0, cfg_.resample_noise_sigma);
-      d.pos.y += normal(rng_, 0.0, cfg_.resample_noise_sigma);
-      d.pos = env_->bounds().clamp(d.pos);
-      if (cfg_.strength_jitter_sigma > 0.0) {
-        d.strength *= std::exp(normal(rng_, 0.0, cfg_.strength_jitter_sigma));
-        d.strength = std::clamp(d.strength, cfg_.strength_min, cfg_.strength_max);
-      }
-    }
-    prev = k;
-    drawn.push_back(d);
-  }
-
-  // Fresh uniform particles for source appearance (Sec. V-E, last para.).
-  for (auto& d : drawn) {
-    if (uniform01(rng_) < cfg_.random_replacement_frac) {
-      d.pos = random_position();
-      d.strength = random_strength();
-    }
-  }
-
-  // Write back with uniform weights that preserve the subset's mass.
-  const double w = subset_mass / static_cast<double>(subset.size());
-  for (std::size_t k = 0; k < subset.size(); ++k) {
-    const auto slot = subset[k];
-    positions_[slot] = drawn[k].pos;
-    strengths_[slot] = drawn[k].strength;
-    weights_[slot] = w;
-  }
+  return n;
 }
 
 }  // namespace radloc

@@ -26,7 +26,8 @@
 #include "radloc/filter/config.hpp"
 #include "radloc/filter/movement.hpp"
 #include "radloc/filter/particle.hpp"
-#include "radloc/geom/grid_index.hpp"
+#include "radloc/filter/resample.hpp"
+#include "radloc/geom/slotted_grid_index.hpp"
 #include "radloc/obs/trace.hpp"
 #include "radloc/radiation/environment.hpp"
 #include "radloc/radiation/transmission_cache.hpp"
@@ -44,7 +45,11 @@ class FusionParticleFilter {
   /// `sensors` are the known sensor positions/responses (measurements refer
   /// to them by id); `env` supplies the area bounds, and — only if
   /// cfg.use_known_obstacles — the obstacle set. Particles are initialized
-  /// uniformly at random (Sec. V-A). The environment must outlive the filter.
+  /// uniformly at random (Sec. V-A) from `rng`, which then yields one more
+  /// draw: the key of the filter's per-reading random streams. Reading t
+  /// (iteration() after it is counted) draws its predict and resample
+  /// randomness from Rng::stream(key, t) alone. The environment must outlive
+  /// the filter.
   FusionParticleFilter(const Environment& env, std::vector<Sensor> sensors, FilterConfig cfg,
                        Rng rng);
 
@@ -171,16 +176,16 @@ class FusionParticleFilter {
   /// precondition for fused updates (hoisted from the per-reading
   /// dynamic_cast the predict step used to pay).
   [[nodiscard]] bool movement_is_static() const { return movement_is_static_; }
+  /// Full relayouts of the particle index since its build (diagnostics; see
+  /// SlottedGridIndex::relayouts()).
+  [[nodiscard]] std::uint64_t index_relayouts() const { return index_.relayouts(); }
 
  private:
-  void initialize_particles();
+  void initialize_particles(Rng& rng);
   [[nodiscard]] double hypothesis_rate(const Point2& at, const SensorResponse& response,
                                        const Point2& pos, double strength,
                                        const TransmissionCache* cache,
                                        const TransmissionCache::Field* field) const;
-  [[nodiscard]] Point2 random_position();
-  [[nodiscard]] double random_strength();
-  void resample_subset(std::span<const std::uint32_t> subset, double subset_mass);
   /// The filter iteration proper; input already validated.
   std::size_t process_reading_impl(const Point2& at, const SensorResponse& response, double cpm);
 
@@ -191,14 +196,16 @@ class FusionParticleFilter {
   /// Scores rates_ against the (fused) counts and applies the mass-
   /// preserving weight update + ESS-gated resample. `k_sum`/`reps`/
   /// `log_fact_sum` describe the reading group (reps == 1 for a single
-  /// reading — bit-identical to the seed's single-k pass). Returns |P'| or 0
-  /// on a degenerate update.
+  /// reading — the plain single-k expression). Returns |P'| or 0 on a
+  /// degenerate update.
   std::size_t apply_scores(double k_sum, double reps, double log_fact_sum);
 
   const Environment* env_;
   std::vector<Sensor> sensors_;
   FilterConfig cfg_;
-  Rng rng_;
+  LocalResampler resampler_;
+  std::uint64_t stream_key_ = 0;
+  Rng rng_;  ///< the current reading's stream
   MeasurementValidator validator_;
   ThreadPool* pool_ = nullptr;
   obs::StageTracer* tracer_ = nullptr;  ///< null = tracing off (the default)
@@ -212,9 +219,11 @@ class FusionParticleFilter {
 
   std::unique_ptr<MovementModel> movement_;
   bool movement_is_static_ = true;  ///< hoisted dynamic_cast (set_movement_model)
-  /// Built at the first reading; after that each selection re-files the
-  /// previous reading's subset_, the only particles predict/resample move.
-  GridIndex grid_;
+  /// Built at the first reading. A non-static predict re-files the subset
+  /// at once; the particles a resample put into another cell wait in
+  /// refile_ until the next reading's selection.
+  SlottedGridIndex index_;
+  std::vector<std::uint32_t> refile_;
   std::uint64_t iteration_ = 0;
   std::uint64_t particles_scored_ = 0;
   std::uint64_t resamples_performed_ = 0;
@@ -225,6 +234,7 @@ class FusionParticleFilter {
   // Scratch buffers reused across iterations: after warmup, a reading must
   // not allocate (tests/test_alloc_steady.cpp pins this).
   std::vector<std::uint32_t> subset_;
+  std::vector<std::uint32_t> subset_cells_;  // index cell of each subset_ entry
   simd::AVector<double> subset_weights_;
   // batch-kernel gather slices of the fusion subset (SoA)
   simd::AVector<double> scratch_x_;
@@ -233,13 +243,6 @@ class FusionParticleFilter {
   simd::AVector<double> scratch_t_;
   // per-particle hypothesis rates of the fusion subset
   simd::AVector<double> rates_;
-  // resample scratch
-  struct Drawn {
-    Point2 pos;
-    double strength;
-  };
-  std::vector<std::uint32_t> picks_;
-  std::vector<Drawn> drawn_;
 };
 
 }  // namespace radloc

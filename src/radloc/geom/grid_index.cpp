@@ -16,7 +16,6 @@ GridIndex::GridIndex(const AreaBounds& bounds, double cell_size)
   nx_ = std::max<std::size_t>(nx_, 1);
   ny_ = std::max<std::size_t>(ny_, 1);
   cell_start_.assign(nx_ * ny_ + 1, 0);
-  cell_count_.assign(nx_ * ny_, 0);
 }
 
 std::pair<std::int32_t, std::int32_t> GridIndex::cell_of(const Point2& p) const {
@@ -27,59 +26,24 @@ std::pair<std::int32_t, std::int32_t> GridIndex::cell_of(const Point2& p) const 
   return {cx, cy};
 }
 
-std::uint32_t GridIndex::cell_id(const Point2& p) const {
-  const auto [cx, cy] = cell_of(p);
-  return static_cast<std::uint32_t>(static_cast<std::size_t>(cy) * nx_ +
-                                    static_cast<std::size_t>(cx));
-}
-
 void GridIndex::rebuild(std::span<const Point2> points) {
-  // The buffers are member scratch: a steady-state rebuild or update must
-  // not allocate (tests/test_alloc_steady.cpp).
-  std::fill(cell_count_.begin(), cell_count_.end(), 0u);
+  std::fill(cell_start_.begin(), cell_start_.end(), 0u);
+  items_.resize(points.size());
+
+  // Counting sort into cells (CSR): walking the points in index order keeps
+  // every cell's items ascending. The two passes reuse member scratch, so a
+  // steady-state rebuild does not allocate.
   cell_of_point_.resize(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
-    const std::uint32_t cell = cell_id(points[i]);
+    const auto [cx, cy] = cell_of(points[i]);
+    const auto cell =
+        static_cast<std::uint32_t>(static_cast<std::size_t>(cy) * nx_ + static_cast<std::size_t>(cx));
     cell_of_point_[i] = cell;
-    ++cell_count_[cell];
+    ++cell_start_[cell + 1];
   }
-  built_ = true;
-  scatter();
-}
-
-void GridIndex::update(std::span<const Point2> points, std::span<const std::uint32_t> moved) {
-  require(built_, "grid update needs a prior rebuild");
-  require(points.size() == cell_of_point_.size(), "grid update must keep the point count");
-  // Check every index before touching any state, so a throw leaves the
-  // index as it was.
-  require(std::all_of(moved.begin(), moved.end(),
-                      [n = points.size()](std::uint32_t i) { return i < n; }),
-          "grid update index out of range");
-  bool refiled = false;
-  for (const std::uint32_t i : moved) {
-    const std::uint32_t cell = cell_id(points[i]);
-    std::uint32_t& filed = cell_of_point_[i];
-    if (cell == filed) continue;
-    --cell_count_[filed];
-    ++cell_count_[cell];
-    filed = cell;
-    refiled = true;
-  }
-  // The layout is a function of cell_of_point_ alone, so points that stayed
-  // in their cells leave it as it is.
-  if (refiled) scatter();
-}
-
-void GridIndex::scatter() {
-  // Counting sort into cells (CSR): walking the points in index order keeps
-  // every cell's items ascending.
-  cell_start_[0] = 0;
-  for (std::size_t c = 0; c < cell_count_.size(); ++c) {
-    cell_start_[c + 1] = cell_start_[c] + cell_count_[c];
-  }
+  for (std::size_t c = 1; c < cell_start_.size(); ++c) cell_start_[c] += cell_start_[c - 1];
   cursor_.assign(cell_start_.begin(), cell_start_.end() - 1);
-  items_.resize(cell_of_point_.size());
-  for (std::size_t i = 0; i < cell_of_point_.size(); ++i) {
+  for (std::size_t i = 0; i < points.size(); ++i) {
     items_[cursor_[cell_of_point_[i]]++] = static_cast<std::uint32_t>(i);
   }
 }

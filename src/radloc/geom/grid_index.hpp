@@ -1,12 +1,10 @@
 // Uniform-grid spatial index over a fixed rectangular area.
 //
-// Two hot paths use it: (i) the fusion-range query "all particles within
-// d of sensor S" (Eq. (5) of the paper) and (ii) truncated-kernel neighbor
-// queries inside mean-shift. Both need millions of radius queries per
-// experiment, so the index is flat (CSR layout), cache-friendly, and
-// rebuilt in O(n). A filter reading moves only its fusion subset, so
-// update() re-files just those points and reruns the counting-sort scatter
-// over the cached cell ids instead of recomputing every point's cell.
+// Mean-shift's truncated-kernel neighbor queries use it: many radius
+// queries over one fixed point set, so the index is flat (CSR layout),
+// cache-friendly, and rebuilt in O(n). The fusion filter, whose particles
+// move every reading, keeps its own SlottedGridIndex
+// (geom/slotted_grid_index.hpp) instead.
 #pragma once
 
 #include <cstdint>
@@ -28,20 +26,8 @@ class GridIndex {
   /// Rebuilds the index over `points`; item i keeps identifier i.
   void rebuild(std::span<const Point2> points);
 
-  /// Re-files the points whose indices are listed in `moved` (repeats and an
-  /// empty list are fine) after they changed position; every other point
-  /// must be where the last rebuild()/update() saw it. `points` must have
-  /// the size of the last rebuild(). The result is exactly what rebuild()
-  /// would produce: cell-major, ascending index within a cell. Cost:
-  /// O(|moved|) cell lookups plus one O(points) scatter of cached cell ids,
-  /// skipped when no moved point changed cell. Misuse (no prior rebuild, a
-  /// different point count, an index past the end) throws and leaves the
-  /// index unchanged.
-  void update(std::span<const Point2> points, std::span<const std::uint32_t> moved);
-
   /// Invokes `fn(i)` for every indexed point i with ||points[i] - c|| <= r,
-  /// in layout order. `points` must be the span the index was last built or
-  /// updated over.
+  /// in layout order. `points` must be the span passed to the last rebuild().
   template <typename Fn>
   void for_each_in_radius(std::span<const Point2> points, const Point2& c, double r,
                           Fn&& fn) const {
@@ -64,15 +50,10 @@ class GridIndex {
                     std::vector<std::uint32_t>& out) const;
 
   [[nodiscard]] std::size_t size() const { return items_.size(); }
-  /// True once rebuild() has run, i.e. when update() may be called.
-  [[nodiscard]] bool built() const { return built_; }
   [[nodiscard]] double cell_size() const { return cell_size_; }
 
  private:
   [[nodiscard]] std::pair<std::int32_t, std::int32_t> cell_of(const Point2& p) const;
-  [[nodiscard]] std::uint32_t cell_id(const Point2& p) const;
-  /// Counting-sort scatter of cell_of_point_ into cell_start_/items_.
-  void scatter();
 
   AreaBounds bounds_;
   double cell_size_;
@@ -80,12 +61,8 @@ class GridIndex {
   std::size_t ny_ = 0;
   std::vector<std::uint32_t> cell_start_;  // CSR offsets, size nx*ny + 1
   std::vector<std::uint32_t> items_;       // point indices grouped by cell
-  // Cell of every point and population of every cell as of the last
-  // rebuild()/update(): the state update() adjusts incrementally.
+  // rebuild() scratch, kept so steady-state rebuilds are allocation-free
   std::vector<std::uint32_t> cell_of_point_;
-  std::vector<std::uint32_t> cell_count_;
-  bool built_ = false;
-  // scatter() scratch, kept so steady-state rebuilds are allocation-free
   std::vector<std::uint32_t> cursor_;
 };
 

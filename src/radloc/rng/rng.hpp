@@ -60,6 +60,15 @@ class Xoshiro256 {
   /// each trial / each subsystem its own stream.
   [[nodiscard]] Xoshiro256 split() { return Xoshiro256((*this)() ^ 0x6a09e667f3bcc909ULL); }
 
+  /// Stream `index` of the family keyed by `key` — e.g. one stream per
+  /// filter reading, so a reading's draws do not depend on how many draws
+  /// earlier readings made. The index is mixed by one SplitMix64 step before
+  /// it meets the key, so neighbouring indices seed unrelated states; the
+  /// engine then expands the seed as reseed() does.
+  [[nodiscard]] static Xoshiro256 stream(std::uint64_t key, std::uint64_t index) {
+    return Xoshiro256(key ^ SplitMix64(index).next());
+  }
+
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

@@ -3,7 +3,8 @@
 // Resolution, in priority order:
 //   1. force_tier(t)            — programmatic override (tests, bench sweeps)
 //   2. RADLOC_SIMD env variable — scalar | sse2 | avx2 | auto, read once
-//   3. default: scalar          — the deterministic, seed-bit-identical tier
+//   3. default: scalar          — the deterministic reference tier, whose
+//                                 kernels reproduce the seed's expressions
 // Every request clamps down to detected_tier(): asking for avx2 on an
 // SSE2-only host yields sse2; on non-x86, scalar.
 #include <array>

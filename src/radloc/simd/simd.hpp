@@ -13,9 +13,10 @@
 //   avx2    4-lane vector tier (x86 only; adds gathered bilinear lookups).
 //
 // Determinism policy (DESIGN.md §5.7): the DEFAULT tier is scalar, so a
-// build that never touches the knob produces bit-identical results to the
-// seed. Vector tiers are opt-in — RADLOC_SIMD=sse2|avx2 (or `auto` for the
-// best the host supports), or force_tier() programmatically — and replace
+// build that never touches the knob evaluates every kernel with the seed's
+// per-element expressions. Vector tiers are opt-in — RADLOC_SIMD=sse2|avx2
+// (or `auto` for the best the host supports), or force_tier()
+// programmatically — and replace
 // libm log/exp with polynomial vector versions accurate to ~1 ulp relative;
 // the parity suite (tests/test_simd.cpp) pins them against scalar at
 // tolerance. Everything else in the tables (rates, bilinear interpolation,

@@ -135,7 +135,10 @@ TEST(ModelSelection, AicAndBicBothRecoverK1) {
 TEST(LocalizerKnobs, ObstacleAwareModeBeatsBlindBehindHeavyWalls) {
   // End-to-end version of the filter-level test: with a near-opaque wall
   // shadowing the source's nearest sensors, the obstacle-aware localizer's
-  // error must not be worse than twice the blind one's (usually better).
+  // error must not be worse than twice the blind one's (usually better), on
+  // every one of 20 seeds. The blind localizer often settles on a ghost
+  // beyond the wall, but it must still find the source (error < 25) on at
+  // least a quarter of the seeds (the paper's claim).
   Environment env(make_area(100, 100),
                   {Obstacle(make_rect(30, 30, 36, 70), 0.7)});
   auto sensors = place_grid(env.bounds(), 6, 6);
@@ -143,21 +146,27 @@ TEST(LocalizerKnobs, ObstacleAwareModeBeatsBlindBehindHeavyWalls) {
   const std::vector<Source> truth{{{22, 50}, 60.0}};
   MeasurementSimulator sim(env, sensors, truth);
 
-  auto run = [&](bool aware) {
-    LocalizerConfig cfg;
-    cfg.filter.use_known_obstacles = aware;
-    MultiSourceLocalizer loc(env, sensors, cfg, 8);
-    Rng noise(9);
-    for (int t = 0; t < 12; ++t) loc.process_all(sim.sample_time_step(noise));
-    double best = 1e18;
-    for (const auto& e : loc.estimate()) best = std::min(best, distance(e.pos, truth[0].pos));
-    return best;
-  };
-  const double blind = run(false);
-  const double aware = run(true);
-  EXPECT_LT(aware, 12.0);
-  EXPECT_LT(blind, 25.0);           // blind still localizes (the paper's claim)
-  EXPECT_LE(aware, 2.0 * blind + 2.0);  // knowing the wall never hurts much
+  constexpr std::uint64_t kSeeds = 20;
+  std::uint64_t blind_found = 0;
+  for (std::uint64_t s = 1; s <= kSeeds; ++s) {
+    auto run = [&](bool aware) {
+      LocalizerConfig cfg;
+      cfg.filter.use_known_obstacles = aware;
+      MultiSourceLocalizer loc(env, sensors, cfg, 1000 + s);
+      Rng noise(2000 + s);
+      for (int t = 0; t < 12; ++t) loc.process_all(sim.sample_time_step(noise));
+      double best = 1e18;
+      for (const auto& e : loc.estimate()) best = std::min(best, distance(e.pos, truth[0].pos));
+      return best;
+    };
+    const double blind = run(false);
+    const double aware = run(true);
+    EXPECT_LT(aware, 12.0) << "seed " << s;
+    EXPECT_LE(aware, 2.0 * blind + 2.0) << "seed " << s;  // knowing the wall never hurts much
+    blind_found += blind < 25.0 ? 1 : 0;
+  }
+  EXPECT_GE(4 * blind_found, kSeeds) << "blind mode found the source on " << blind_found
+                                     << " of " << kSeeds << " seeds";
 }
 
 }  // namespace

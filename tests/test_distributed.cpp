@@ -69,6 +69,25 @@ TEST(Regional, SourceOnTileBoundaryReportedOnce) {
   EXPECT_EQ(near, 1u);
 }
 
+TEST(Regional, SeamModesOfOneSourceMergeIntoTheStronger) {
+  // Two tiles split at x = 50. One source near the seam left a mode on each
+  // side, 3 apart: both lie in their own tile's core, so ownership alone
+  // reports the source twice. The merge keeps the stronger of the two.
+  const std::vector<AreaBounds> cores{{{0, 0}, {50, 100}}, {{50, 0}, {100, 100}}};
+  const std::vector<std::vector<SourceEstimate>> per_tile{
+      {{{48.5, 50.0}, 40.0, 0.20}, {{20.0, 20.0}, 30.0, 0.10}, {{70.0, 10.0}, 30.0, 0.30}},
+      {{{51.5, 50.5}, 42.0, 0.25}, {{60.0, 90.0}, 10.0, 0.05}, {{64.0, 90.0}, 10.0, 0.04}}};
+  const auto merged = merge_tile_estimates(per_tile, cores, 6.0);
+  // (70, 10) lies outside tile 0's core and is dropped; the two modes at
+  // y = 90 are 4 apart but come from one tile, whose mean-shift already
+  // decided they are distinct.
+  const std::vector<Point2> want{{51.5, 50.5}, {20.0, 20.0}, {60.0, 90.0}, {64.0, 90.0}};
+  ASSERT_EQ(merged.size(), want.size());
+  for (std::size_t k = 0; k < want.size(); ++k) EXPECT_EQ(merged[k].pos, want[k]) << k;
+  // Modes farther apart than the merge radius are separate sources.
+  EXPECT_EQ(merge_tile_estimates(per_tile, cores, 2.5).size(), 5u);
+}
+
 TEST(Regional, NineSourcesAcrossSixteenTiles) {
   auto scenario = make_scenario_b(5.0, false);
   MeasurementSimulator sim(scenario.env, scenario.sensors, scenario.sources);

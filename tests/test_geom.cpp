@@ -5,6 +5,7 @@
 
 #include "radloc/common/math.hpp"
 #include "radloc/geom/grid_index.hpp"
+#include "radloc/geom/slotted_grid_index.hpp"
 #include "radloc/geom/intersect.hpp"
 #include "radloc/geom/polygon.hpp"
 #include "radloc/geom/segment.hpp"
@@ -198,13 +199,17 @@ TEST(GridIndex, EmptyAndRebuild) {
 }
 
 TEST(GridIndex, UpdateRejectsMisuse) {
+  // SlottedGridIndex is the grid index that takes moves.
   const AreaBounds area = make_area(10, 10);
-  GridIndex index(area, 2.0);
+  SlottedGridIndex index(area, 2.0);
   std::vector<Point2> pts{{1, 1}, {9, 9}, {5, 5}};
   const std::vector<std::uint32_t> moved{1};
-  // update() adjusts the cell ids of a previous build; there is none yet.
+  // update() re-files points of a previous build; there is none yet.
   EXPECT_THROW(index.update(pts, moved), std::invalid_argument);
   EXPECT_THROW(index.update({}, {}), std::invalid_argument);
+  std::vector<std::uint32_t> found;
+  std::vector<std::uint32_t> cells;
+  EXPECT_THROW(index.query_radius(pts, {3, 3}, 0.5, found, cells), std::invalid_argument);
 
   index.rebuild(pts);
   pts[1] = {3, 3};
@@ -215,20 +220,58 @@ TEST(GridIndex, UpdateRejectsMisuse) {
   pts.pop_back();
   EXPECT_THROW(index.update(pts, std::vector<std::uint32_t>{3}), std::invalid_argument);
 
-  std::vector<std::uint32_t> found;
-  index.query_radius(pts, {3, 3}, 0.5, found);
+  index.query_radius(pts, {3, 3}, 0.5, found, cells);
   EXPECT_EQ(found, (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(cells, (std::vector<std::uint32_t>{index.cell_id({3, 3})}));
 
   // A valid index that changed cell, then a bad one: the throw must leave
   // the index untouched, so re-filing the move afterwards still works.
   pts[0] = {9, 1};
   EXPECT_THROW(index.update(pts, std::vector<std::uint32_t>{0, 3}), std::invalid_argument);
   index.update(pts, {});
-  index.query_radius(pts, {9, 1}, 0.5, found);
+  index.query_radius(pts, {9, 1}, 0.5, found, cells);
   EXPECT_TRUE(found.empty());  // point 0 is still filed in its old cell
   index.update(pts, std::vector<std::uint32_t>{0});
-  index.query_radius(pts, {9, 1}, 0.5, found);
+  index.query_radius(pts, {9, 1}, 0.5, found, cells);
   EXPECT_EQ(found, (std::vector<std::uint32_t>{0}));
+}
+
+TEST(SlottedGridIndex, BorrowsSlackThenRelayoutsWhenNoneInReach) {
+  // 40 x 40 unit cells with 4 points each. Herding every point into one
+  // cell, a batch at a time, overflows it: neighbours lend their slack
+  // slots, and once no cell within reach has any left the index relays
+  // itself out. Queries must stay exact throughout.
+  const AreaBounds area = make_area(40, 40);
+  SlottedGridIndex index(area, 1.0);
+  Rng rng(12);
+  std::vector<Point2> pts;
+  for (int i = 0; i < 6400; ++i) pts.push_back(uniform_point(rng, area));
+  index.rebuild(pts);
+  ASSERT_EQ(index.size(), pts.size());
+  const auto expect_exact = [&](const Point2& c, double r) {
+    std::vector<std::uint32_t> got;
+    std::vector<std::uint32_t> cells;
+    index.query_radius(pts, c, r, got, cells);
+    std::sort(got.begin(), got.end());
+    std::vector<std::uint32_t> want;
+    for (std::uint32_t i = 0; i < pts.size(); ++i) {
+      if (distance2(pts[i], c) <= r * r) want.push_back(i);
+    }
+    ASSERT_EQ(got, want) << "center (" << c.x << ", " << c.y << ") radius " << r;
+  };
+  std::vector<std::uint32_t> moved;
+  for (std::uint32_t batch = 0; batch < 64; ++batch) {
+    moved.clear();
+    for (std::uint32_t i = batch * 100; i < (batch + 1) * 100; ++i) {
+      pts[i] = {20.0 + uniform(rng, 0.0, 0.99), 20.0 + uniform(rng, 0.0, 0.99)};
+      moved.push_back(i);
+    }
+    index.update(pts, moved);
+    expect_exact({20.5, 20.5}, 0.8);
+    expect_exact(uniform_point(rng, area), 3.0);
+  }
+  EXPECT_GT(index.relayouts(), 0u);
+  expect_exact({20.0, 20.0}, 100.0);
 }
 
 TEST(GridIndex, RejectsBadConstruction) {

@@ -39,6 +39,22 @@ TEST(Xoshiro, SplitProducesIndependentStream) {
   EXPECT_EQ(same, 0);
 }
 
+TEST(Xoshiro, StreamsAreReproducibleAndDistinct) {
+  // stream(key, index) is a pure function of its arguments; neighbouring
+  // indices and keys give unrelated streams.
+  const std::uint64_t key = 0x1234abcdULL;
+  Rng a = Rng::stream(key, 7);
+  Rng b = Rng::stream(key, 7);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(a(), b());
+  for (const auto& [k, idx] : {std::pair{key, 8ULL}, std::pair{key + 1, 7ULL}}) {
+    Rng x = Rng::stream(key, 7);
+    Rng y = Rng::stream(k, idx);
+    int same = 0;
+    for (int i = 0; i < 100; ++i) same += x() == y() ? 1 : 0;
+    EXPECT_EQ(same, 0) << "key " << k << " index " << idx;
+  }
+}
+
 TEST(Uniform01, InHalfOpenUnitInterval) {
   Rng rng(42);
   for (int i = 0; i < 10000; ++i) {
@@ -86,6 +102,37 @@ TEST(Normal, MomentsMatch) {
   for (int i = 0; i < 200000; ++i) rs.add(normal(rng, 3.0, 2.0));
   EXPECT_NEAR(rs.mean(), 3.0, 0.02);
   EXPECT_NEAR(rs.stddev(), 2.0, 0.02);
+}
+
+// Phi, the standard normal CDF.
+double normal_cdf(double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }
+
+TEST(Normal, KolmogorovSmirnovAgainstPhi) {
+  // One-sample KS statistic over 10^6 draws, against the asymptotic 0.1%
+  // critical value 1.9495 / sqrt(n).
+  Rng rng(52);
+  constexpr std::size_t n = 1000000;
+  std::vector<double> z(n);
+  for (auto& v : z) v = normal(rng);
+  std::sort(z.begin(), z.end());
+  double d = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double f = normal_cdf(z[i]);
+    d = std::max({d, f - static_cast<double>(i) / n, static_cast<double>(i + 1) / n - f});
+  }
+  EXPECT_LT(d, 1.9495 / std::sqrt(static_cast<double>(n)));
+}
+
+TEST(Normal, TailShareMatchesBeyondZigguratBase) {
+  // |z| > 3.4426 is the ziggurat's tail, drawn by a separate sampler: its
+  // share of 10^6 draws must lie within 4 binomial sigma of 2 (1 - Phi(R)).
+  Rng rng(53);
+  constexpr int n = 1000000;
+  constexpr double r = 3.4426;
+  int tail = 0;
+  for (int i = 0; i < n; ++i) tail += std::abs(normal(rng)) > r ? 1 : 0;
+  const double p = 2.0 * (1.0 - normal_cdf(r));
+  EXPECT_NEAR(static_cast<double>(tail), n * p, 4.0 * std::sqrt(n * p * (1.0 - p)));
 }
 
 TEST(Exponential, MeanMatches) {

@@ -1,8 +1,9 @@
 // Deterministic stress harness for the geometry layer: TransmissionCache
 // pointer stability under capacity pressure and revision churn, pathological
-// obstacle shapes, and GridIndex radius queries checked against brute force
-// through rebuild churn and boundary cases, and against a fresh rebuild
-// through incremental update() churn.
+// obstacle shapes, GridIndex radius queries checked against brute force
+// through rebuild churn and boundary cases, and SlottedGridIndex queries
+// checked against brute force, and for a reproducible order, through
+// incremental update() churn.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "radloc/geom/grid_index.hpp"
+#include "radloc/geom/slotted_grid_index.hpp"
 #include "radloc/geom/polygon.hpp"
 #include "radloc/radiation/environment.hpp"
 #include "radloc/radiation/obstacle.hpp"
@@ -227,39 +229,54 @@ TEST(StressGeometry, GridIndexSurvivesRebuildChurnAndDegenerateSets) {
   }
 }
 
-/// Asserts that `index` answers every query with the same indices, in the
-/// same order, as an index rebuilt from scratch over `points` — the order
-/// is what keeps the filter's fusion subset, and so its RNG draws and
-/// floating-point sums, unchanged by incremental maintenance.
-void expect_same_as_rebuilt(const GridIndex& index, const AreaBounds& area, double cell,
-                            const std::vector<Point2>& points, Rng& rng) {
-  GridIndex fresh(area, cell);
-  fresh.rebuild(points);
-  ASSERT_EQ(index.size(), fresh.size());
+/// Asserts that `index` answers every query with exactly the brute-force
+/// index set, each index once and paired with its cell, and that `twin`,
+/// which went through the same build and updates, answers in the same order.
+void expect_exact_and_reproducible(const SlottedGridIndex& index, const SlottedGridIndex& twin,
+                                   const AreaBounds& area, double cell,
+                                   const std::vector<Point2>& points, Rng& rng) {
+  ASSERT_EQ(index.size(), points.size());
   std::vector<std::uint32_t> got;
-  std::vector<std::uint32_t> want;
+  std::vector<std::uint32_t> cells;
+  std::vector<std::uint32_t> twin_got;
+  std::vector<std::uint32_t> twin_cells;
   for (const double radius : {0.0, 2.5, 5.0, 12.0, 40.0, 1000.0}) {
     const Point2 centers[] = {uniform_point(rng, area), uniform_point(rng, area),
                               uniform_point(rng, area), {0.0, 0.0},
                               {cell * 3.0, cell * 7.0}, {-20.0, 130.0}};
     for (const Point2& center : centers) {
-      index.query_radius(points, center, radius, got);
-      fresh.query_radius(points, center, radius, want);
-      ASSERT_EQ(got, want) << "center (" << center.x << ", " << center.y << ") radius "
-                           << radius;
+      index.query_radius(points, center, radius, got, cells);
+      twin.query_radius(points, center, radius, twin_got, twin_cells);
+      ASSERT_EQ(got, twin_got) << "same history, different order: center (" << center.x << ", "
+                               << center.y << ") radius " << radius;
+      ASSERT_EQ(cells.size(), got.size());
+      for (std::size_t k = 0; k < got.size(); ++k) {
+        ASSERT_EQ(cells[k], index.cell_id(points[got[k]])) << "index " << got[k];
+      }
+      std::vector<std::uint32_t> sorted = got;
+      std::sort(sorted.begin(), sorted.end());
+      ASSERT_TRUE(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end())
+          << "an index reported twice";
+      std::vector<std::uint32_t> want;
+      for (std::uint32_t i = 0; i < points.size(); ++i) {
+        if (distance2(points[i], center) <= radius * radius) want.push_back(i);
+      }
+      ASSERT_EQ(sorted, want) << "center (" << center.x << ", " << center.y << ") radius "
+                              << radius;
     }
-    expect_matches_brute_force(index, points, centers[0], radius);
   }
 }
 
-TEST(StressGeometry, GridIndexUpdateMatchesRebuildThroughPartialMoves) {
+TEST(StressGeometry, SlottedGridIndexUpdateMatchesBruteForceThroughPartialMoves) {
   const AreaBounds area = make_area(100.0, 100.0);
   constexpr double kCell = 5.0;
   Rng rng(31);
   std::vector<Point2> points;
   for (int i = 0; i < 800; ++i) points.push_back(uniform_point(rng, area));
-  GridIndex index(area, kCell);
+  SlottedGridIndex index(area, kCell);
+  SlottedGridIndex twin(area, kCell);
   index.rebuild(points);
+  twin.rebuild(points);
 
   std::vector<std::uint32_t> moved;
   const auto move_to = [&](std::uint64_t i, const Point2& p) {
@@ -305,16 +322,19 @@ TEST(StressGeometry, GridIndexUpdateMatchesRebuildThroughPartialMoves) {
         break;
     }
     index.update(points, moved);
-    expect_same_as_rebuilt(index, area, kCell, points, rng);
+    twin.update(points, moved);
+    expect_exact_and_reproducible(index, twin, area, kCell, points, rng);
   }
 
   // Listed but not moved at all, and moved within its own cell: the index
-  // must still match a rebuild.
+  // must still match brute force.
   moved.assign({3, 3, 17});
   points[17] = {std::floor(points[17].x / kCell) * kCell + 0.5 * kCell,
                 std::floor(points[17].y / kCell) * kCell + 0.5 * kCell};
   index.update(points, moved);
-  expect_same_as_rebuilt(index, area, kCell, points, rng);
+  twin.update(points, moved);
+  expect_exact_and_reproducible(index, twin, area, kCell, points, rng);
+  EXPECT_EQ(index.relayouts(), twin.relayouts());
 }
 
 }  // namespace

@@ -5,10 +5,13 @@ Usage:
     tools/bench_compare.py [--fresh-dir DIR] [--baseline-dir DIR]
                            [--threshold FRAC] [--strict] [name ...]
 
-Compares every requested bench (default: table1, weight_update,
+Compares every requested bench (default: table1, micro, weight_update,
 experiment_throughput, session_multiplex, telemetry_overhead) whose
 BENCH_<name>.json exists in BOTH directories; table1 carries the paper's
-Table I rows (per-iteration filter and mean-shift time vs NP and threads).
+Table I rows (per-iteration filter and mean-shift time vs NP and threads),
+micro the per-primitive seconds_per_op rows of bench_micro (grid index
+queries and re-filing, the local resample, normal and Poisson sampling,
+one filter iteration).
 Rows are matched on (scenario, config, metric, threads); the direction of
 "better" is inferred from the metric name (rates and speedups up, times and
 errors down). Changes beyond the threshold (default 15%) are printed as
@@ -29,6 +32,7 @@ import sys
 
 DEFAULT_BENCHES = [
     "table1",
+    "micro",
     "weight_update",
     "experiment_throughput",
     "session_multiplex",
@@ -37,7 +41,7 @@ DEFAULT_BENCHES = [
 
 # Metric-name fragments that identify the "bigger is better" direction.
 HIGHER_IS_BETTER = ("per_sec", "speedup", "throughput", "frac")
-LOWER_IS_BETTER = ("sec_per", "_ms", "_us", "_seconds", "error", "rmse", "nll")
+LOWER_IS_BETTER = ("sec_per", "seconds_per", "_ms", "_us", "_seconds", "error", "rmse", "nll")
 
 
 def load_rows(path):
