@@ -135,6 +135,7 @@ void BM_ResampleSubset(benchmark::State& state) {
   std::vector<std::uint32_t> cells(kSubset);
   std::vector<double> posterior(kSubset);
   std::vector<std::uint32_t> moved;
+  LocalResampler::Scratch scratch;
   for (auto _ : state) {
     for (std::size_t k = 0; k < kSubset; ++k) {
       const Point2& p = positions[subset[k]];
@@ -142,7 +143,7 @@ void BM_ResampleSubset(benchmark::State& state) {
       posterior[k] = 1.0 / (1.0 + distance2(p, source));
     }
     resampler.resample(rng, subset, cells, posterior, mass,
-                       ParticleSpans{positions, strengths, weights}, index, moved);
+                       ParticleSpans{positions, strengths, weights}, index, scratch, moved);
     index.update(positions, moved);
     benchmark::ClobberMemory();
   }

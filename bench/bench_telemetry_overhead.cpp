@@ -1,9 +1,9 @@
-// Telemetry overhead on the session-multiplex workload (DESIGN.md §5.10).
+// Telemetry overhead on a multi-session service workload (DESIGN.md §5.10).
 //
 // The observability layer promises that enabling it costs almost nothing:
 // counters are relaxed sharded adds, gauges are relaxed stores, stage spans
 // are sampled (default 1-in-16), and the disabled path is a pointer compare.
-// This bench puts a number on that promise: the bench_session_multiplex
+// This bench puts a number on that promise: a SessionManager
 // ingest->drain->apply loop runs with observability off (null handles, the
 // seed behavior), with the metrics registry alone, and with metrics plus
 // stage tracing at the default sampling interval. Reported:

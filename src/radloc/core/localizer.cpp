@@ -40,13 +40,6 @@ void MultiSourceLocalizer::note_reading(const Measurement& m) {
   recent_size_[m.sensor] = std::min(recent_size_[m.sensor] + 1, buf.size());
 }
 
-void MultiSourceLocalizer::apply_fused_group(std::span<const Measurement> group) {
-  (void)filter_.process_fused(group);
-  // Detection history sees every reading individually — the fusing is a
-  // weight-update implementation detail, not an evidence reduction.
-  for (const auto& m : group) note_reading(m);
-}
-
 void MultiSourceLocalizer::process(const Measurement& m) {
   filter_.process(m);
   note_reading(m);
@@ -70,75 +63,49 @@ void MultiSourceLocalizer::process_all(std::span<const Measurement> batch) {
                                   std::to_string(i) + ")");
     }
   }
-  if (!cfg_.filter.fused_batch_updates || !filter_.movement_is_static()) {
-    for (const auto& m : batch) process(m);
-    return;
+  (void)try_process_all(batch);
+}
+
+std::size_t MultiSourceLocalizer::group_end(std::span<const Measurement> batch,
+                                            std::size_t begin) const {
+  // Probed with the const check: the filter's admit() still tallies each
+  // reading exactly once when the group applies.
+  const MeasurementValidator& v = filter_.validator();
+  std::size_t end = begin + 1;
+  if (!filter_.movement_is_static() || v.check(batch[begin]) != ReadingFault::kNone) return end;
+  while (end < batch.size() && batch[end].sensor == batch[begin].sensor &&
+         v.check(batch[end]) == ReadingFault::kNone) {
+    ++end;
   }
-  // Fused ingest: consecutive same-sensor runs apply as one weight update.
-  std::size_t i = 0;
-  while (i < batch.size()) {
-    std::size_t j = i + 1;
-    while (j < batch.size() && batch[j].sensor == batch[i].sensor) ++j;
-    if (j - i == 1) {
-      process(batch[i]);
-    } else {
-      apply_fused_group(batch.subspan(i, j - i));
-    }
-    i = j;
-  }
+  return end;
 }
 
 BatchIngestResult MultiSourceLocalizer::try_process_all(
     std::span<const Measurement> batch,
     const std::function<void(std::size_t, ReadingFault)>& on_reading) {
   BatchIngestResult result;
-  const auto reject = [&](std::size_t i, ReadingFault fault) {
-    ++result.rejected;
-    ++result.fault_counts[static_cast<std::size_t>(fault)];
-    if (result.first_fault == ReadingFault::kNone) result.first_fault = fault;
-    if (on_reading) on_reading(i, fault);
-  };
-  if (!cfg_.filter.fused_batch_updates || !filter_.movement_is_static()) {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const ReadingFault fault = try_process(batch[i]);
-      if (fault == ReadingFault::kNone) {
-        ++result.processed;
-        if (on_reading) on_reading(i, fault);
-      } else {
-        reject(i, fault);
-      }
-    }
-    return result;
-  }
-  // Fused ingest: same-sensor runs of WELL-FORMED readings (probed with the
-  // const check — the filter's admit() still tallies each exactly once when
-  // the run applies) fuse into one update; malformed readings break the run
-  // and are tallied through the serial path as before.
   std::size_t i = 0;
   while (i < batch.size()) {
     const ReadingFault fault = filter_.validator().check(batch[i]);
     if (fault != ReadingFault::kNone) {
-      reject(i, try_process(batch[i]));
+      (void)filter_.try_process(batch[i]);  // tallies the fault
+      ++result.rejected;
+      ++result.fault_counts[static_cast<std::size_t>(fault)];
+      if (result.first_fault == ReadingFault::kNone) result.first_fault = fault;
+      if (on_reading) on_reading(i, fault);
       ++i;
       continue;
     }
-    std::size_t j = i + 1;
-    while (j < batch.size() && batch[j].sensor == batch[i].sensor &&
-           filter_.validator().check(batch[j]) == ReadingFault::kNone) {
-      ++j;
-    }
-    if (j - i == 1) {
-      (void)try_process(batch[i]);
-      ++result.processed;
+    const std::size_t end = group_end(batch, i);
+    const auto group = batch.subspan(i, end - i);
+    (void)filter_.process_fused(group);
+    // Detection history sees every reading individually: fusing is a
+    // weight-update implementation detail, not an evidence reduction.
+    for (const Measurement& m : group) note_reading(m);
+    result.processed += group.size();
+    for (; i < end; ++i) {
       if (on_reading) on_reading(i, ReadingFault::kNone);
-    } else {
-      apply_fused_group(batch.subspan(i, j - i));
-      result.processed += j - i;
-      if (on_reading) {
-        for (std::size_t k = i; k < j; ++k) on_reading(k, ReadingFault::kNone);
-      }
     }
-    i = j;
   }
   return result;
 }

@@ -104,9 +104,8 @@ class MultiSourceLocalizer {
   /// std::invalid_argument (naming the fault and the offending index) with
   /// the filter state untouched — never half a batch applied with no record
   /// of progress. Feeds that expect malformed readings should use
-  /// try_process_all instead. With cfg.filter.fused_batch_updates set (and a
-  /// static movement model), consecutive same-sensor runs are applied as one
-  /// fused weight update each (FusionParticleFilter::process_fused).
+  /// try_process_all instead. Applies the batch exactly as try_process_all
+  /// does, in fused groups (see group_end).
   void process_all(std::span<const Measurement> batch);
 
   /// Non-throwing batch ingestion — the streaming-service drain path:
@@ -114,14 +113,23 @@ class MultiSourceLocalizer {
   /// tallies each malformed one per fault kind, and reports the outcome.
   /// `on_reading`, when set, is invoked after each reading's verdict (index,
   /// fault) — the hook the service layer uses to stamp per-reading latency
-  /// without a second pass. With cfg.filter.fused_batch_updates set (and a
-  /// static movement model), consecutive same-sensor runs of well-formed
-  /// readings fuse into one weight update; a malformed reading breaks the
-  /// run. Callback order and per-reading tallies are unchanged (a fused
-  /// run's callbacks fire after the run applies, still in batch order).
+  /// without a second pass. Readings apply in groups (see group_end): each
+  /// run of consecutive well-formed readings from one sensor is one fused
+  /// weight update (FusionParticleFilter::process_fused), and a malformed
+  /// reading breaks the run. Callbacks fire in batch order, a group's all
+  /// together once the group has applied; per-reading tallies are exact.
   BatchIngestResult try_process_all(
       std::span<const Measurement> batch,
       const std::function<void(std::size_t, ReadingFault)>& on_reading = nullptr);
+
+  /// One past the last reading of the group the batch paths apply from
+  /// batch[begin]: the run of consecutive well-formed readings from
+  /// batch[begin]'s sensor. A malformed batch[begin] is a group of one, and
+  /// so is every reading while the movement model is not static, since
+  /// per-reading prediction cannot be fused. A group of one takes the plain
+  /// single-reading path bit for bit.
+  [[nodiscard]] std::size_t group_end(std::span<const Measurement> batch,
+                                      std::size_t begin) const;
 
   /// Runs mean-shift over the current particle cloud, validates each mode
   /// against the background-only hypothesis (detection_log_lr), and returns
@@ -156,9 +164,6 @@ class MultiSourceLocalizer {
  private:
   /// Records `m` in the per-sensor detection-history ring.
   void note_reading(const Measurement& m);
-  /// Applies a validated same-sensor run as one fused update, then updates
-  /// the detection history for every reading in it.
-  void apply_fused_group(std::span<const Measurement> group);
 
   LocalizerConfig cfg_;
   ThreadPool pool_;

@@ -58,19 +58,6 @@ struct FilterConfig {
   /// is more accurate; the per-sensor build cost grows as 1/cell^2.
   double transmission_cache_cell = 2.0;
 
-  /// Fuse consecutive same-sensor readings in the batch ingest paths
-  /// (process_all / try_process_all and the service drain) into ONE weight
-  /// update: log-likelihoods add, so K readings cost one subset traversal,
-  /// one exp/renormalize pass, and at most one resample instead of K. The
-  /// fused posterior equals the serial one up to floating-point reordering
-  /// (tolerance-pinned, DESIGN.md §5.9) and up to resample placement: the
-  /// serial path may resample between the K readings, the fused path at most
-  /// once after them — both are valid filter iterations over the same
-  /// evidence. Requires a static movement model (per-reading prediction
-  /// would be skipped otherwise; the filter falls back to serial updates
-  /// when a non-static model is set). Default off: the seed path.
-  bool fused_batch_updates = false;
-
   /// Skip the local systematic resample + jitter when the fusion subset's
   /// effective sample size fraction ESS/|P'| exceeds this threshold — a
   /// near-uniform subset gains nothing from resampling, so the pass (and its
@@ -78,12 +65,16 @@ struct FilterConfig {
   /// the default path resamples every update.
   double ess_resample_threshold = 1.0;
 
-  // The scoring cache and the adaptive particle budget were removed
-  // (DESIGN.md §5.9). The frozen end-to-end benchmark (bench/e2e) still
-  // records these two names in its result headers, so they survive as
-  // constants that cannot be set.
+  // The scoring cache and the adaptive particle budget were removed, and
+  // fused same-sensor updates are no longer optional: the batch ingest paths
+  // (process_all / try_process_all and the service drain) always apply a run
+  // of consecutive same-sensor readings as one weight update (DESIGN.md
+  // §5.9). The frozen end-to-end benchmark (bench/e2e) still records these
+  // three names in its result headers, so they survive as constants that
+  // cannot be set.
   static constexpr std::size_t scoring_cache_entries = 0;
   static constexpr bool adaptive_budget = false;
+  static constexpr bool fused_batch_updates = true;
 };
 
 }  // namespace radloc

@@ -19,6 +19,30 @@ double index_cell_size(const FilterConfig& cfg) { return std::max(cfg.fusion_ran
 
 }  // namespace
 
+// Per-thread, like mean-shift's ascent buffers: a session's filter keeps no
+// per-reading memory of its own, so many sessions cost one high-water copy
+// per thread rather than one each. A thread runs one reading at a time (a
+// pool waiter never picks up another wave's job, so no reading nests inside
+// another), and a reading leaves nothing here that the next one reads.
+struct FusionParticleFilter::Scratch {
+  std::vector<std::uint32_t> subset;
+  std::vector<std::uint32_t> subset_cells;  // index cell of each subset entry
+  simd::AVector<double> posterior;  // unscaled posterior weight of each subset entry
+  // batch-kernel gather slices of the fusion subset (SoA)
+  simd::AVector<double> x;
+  simd::AVector<double> y;
+  simd::AVector<double> strength;
+  simd::AVector<double> transmission;
+  // per-particle hypothesis rates of the fusion subset
+  simd::AVector<double> rates;
+  LocalResampler::Scratch resample;
+};
+
+FusionParticleFilter::Scratch& FusionParticleFilter::thread_scratch() {
+  thread_local Scratch scratch;
+  return scratch;
+}
+
 FusionParticleFilter::FusionParticleFilter(const Environment& env, std::vector<Sensor> sensors,
                                            FilterConfig cfg, Rng rng)
     : env_(&env),
@@ -137,16 +161,18 @@ std::size_t FusionParticleFilter::process_reading_impl(const Point2& at,
   // log(cpm!) is constant across the subset — pay lgamma once, not per
   // particle (PoissonLogPmf evaluates bit-identically to poisson_log_pmf).
   const PoissonLogPmf log_pmf(cpm);
-  if (!select_and_rate(at, response)) return 0;
-  return apply_scores(log_pmf.count(), 1.0, log_pmf.log_k_factorial());
+  Scratch& s = thread_scratch();
+  if (!select_and_rate(s, at, response)) return 0;
+  return apply_scores(s, log_pmf.count(), 1.0, log_pmf.log_k_factorial());
 }
 
 std::size_t FusionParticleFilter::process_fused(std::span<const Measurement> group) {
   if (group.empty()) return 0;
   // Every reading is validated and tallied exactly as process() would; a
   // fault anywhere rejects the whole group before any state changes.
-  for (const auto& m : group) {
-    MeasurementValidator::enforce(validator_.admit(m));
+  {
+    const obs::ScopedSpan span(tracer_, obs::Stage::kValidate);
+    for (const auto& m : group) MeasurementValidator::enforce(validator_.admit(m));
   }
   for (const auto& m : group) {
     require(m.sensor == group.front().sensor, "fused group must share one sensor");
@@ -172,11 +198,13 @@ std::size_t FusionParticleFilter::process_fused(std::span<const Measurement> gro
   iteration_ += group.size();  // the stream clock counts readings, not updates
   ++fused_groups_;
   fused_readings_ += group.size();
-  if (!select_and_rate(sensor.pos, sensor.response)) return 0;
-  return apply_scores(k_sum, static_cast<double>(group.size()), log_fact_sum);
+  Scratch& s = thread_scratch();
+  if (!select_and_rate(s, sensor.pos, sensor.response)) return 0;
+  return apply_scores(s, k_sum, static_cast<double>(group.size()), log_fact_sum);
 }
 
-bool FusionParticleFilter::select_and_rate(const Point2& at, const SensorResponse& response) {
+bool FusionParticleFilter::select_and_rate(Scratch& s, const Point2& at,
+                                           const SensorResponse& response) {
   // Span covers spatial selection, predict, and the hypothesis-rate kernels.
   const obs::ScopedSpan span(tracer_, obs::Stage::kFusionQuery);
   // The one full index build waits for the first reading, so constructing a
@@ -190,19 +218,19 @@ bool FusionParticleFilter::select_and_rate(const Point2& at, const SensorRespons
   refile_.clear();
 
   // --- Selection (Eq. 5): P' = particles within the fusion range. ---
-  index_.query_radius(positions_, at, cfg_.fusion_range, subset_, subset_cells_);
-  if (subset_.empty()) return false;
+  index_.query_radius(positions_, at, cfg_.fusion_range, s.subset, s.subset_cells);
+  if (s.subset.empty()) return false;
   rng_ = Rng::stream(stream_key_, iteration_);
 
   // --- Predict: evolve the selected hypotheses. ---
   if (!movement_is_static_) {
-    for (std::size_t k = 0; k < subset_.size(); ++k) {
-      const auto i = subset_[k];
+    for (std::size_t k = 0; k < s.subset.size(); ++k) {
+      const auto i = s.subset[k];
       movement_->evolve(rng_, positions_[i], strengths_[i]);
       positions_[i] = env_->bounds().clamp(positions_[i]);
-      subset_cells_[k] = index_.cell_id(positions_[i]);
+      s.subset_cells[k] = index_.cell_id(positions_[i]);
     }
-    index_.update(positions_, subset_);
+    index_.update(positions_, s.subset);
   }
 
   // The transmission field for this origin is prepared serially here; the
@@ -217,8 +245,8 @@ bool FusionParticleFilter::select_and_rate(const Point2& at, const SensorRespons
     field = cache_->prepare(at);
   }
 
-  const std::size_t n = subset_.size();
-  rates_.resize(n);
+  const std::size_t n = s.subset.size();
+  s.rates.resize(n);
   const simd::Kernels& ker = simd::kernels();
 
   // Rates run through the batch kernels (simd/simd.hpp) whenever the rate
@@ -228,40 +256,41 @@ bool FusionParticleFilter::select_and_rate(const Point2& at, const SensorRespons
   // seed expressions bit for bit; vector tiers are an explicit opt-in.
   const bool batched = !cfg_.use_known_obstacles || field != nullptr;
   if (batched) {
-    scratch_x_.resize(n);
-    scratch_y_.resize(n);
-    scratch_s_.resize(n);
+    s.x.resize(n);
+    s.y.resize(n);
+    s.strength.resize(n);
     const bool use_field = cfg_.use_known_obstacles;
-    if (use_field) scratch_t_.resize(n);
-    simd::assert_vector_aligned(scratch_x_.data());
-    simd::assert_vector_aligned(rates_.data());
+    if (use_field) s.transmission.resize(n);
+    simd::assert_vector_aligned(s.x.data());
+    simd::assert_vector_aligned(s.rates.data());
     const double scale = kMicroCurieToCpm * response.efficiency;
     const simd::BilinearGrid grid = use_field ? cache->grid_view(*field) : simd::BilinearGrid{};
     const auto rate_chunk = [&](std::size_t begin, std::size_t end) {
       const std::size_t len = end - begin;
       if (len == 0) return;
-      double* gx = scratch_x_.data() + begin;
-      double* gy = scratch_y_.data() + begin;
-      double* gs = scratch_s_.data() + begin;
+      double* gx = s.x.data() + begin;
+      double* gy = s.y.data() + begin;
+      double* gs = s.strength.data() + begin;
       for (std::size_t k = 0; k < len; ++k) {
-        const auto i = subset_[begin + k];
+        const auto i = s.subset[begin + k];
         gx[k] = positions_[i].x;
         gy[k] = positions_[i].y;
         gs[k] = strengths_[i];
       }
       const double* gt = nullptr;
       if (use_field) {
-        double* t = scratch_t_.data() + begin;
+        double* t = s.transmission.data() + begin;
         ker.bilinear(grid, gx, gy, t, len);
         gt = t;
       }
       ker.hypothesis_rates(at.x, at.y, scale, response.background_cpm, gx, gy, gs, gt,
-                           rates_.data() + begin, len);
+                           s.rates.data() + begin, len);
     };
     if (pool_ != nullptr) {
-      // Chunks write disjoint slots; kernels are elementwise with padded
-      // tails, so any chunking yields the same bits within a tier, and the
-      // scoring/reductions downstream run serially in index order.
+      // Chunks write disjoint slots of the caller's scratch; kernels are
+      // elementwise with padded tails, so any chunking yields the same bits
+      // within a tier, and the scoring/reductions downstream run serially in
+      // index order.
       pool_->parallel_for(n, rate_chunk);
     } else {
       rate_chunk(0, n);
@@ -269,8 +298,8 @@ bool FusionParticleFilter::select_and_rate(const Point2& at, const SensorRespons
   } else {
     const auto rate_chunk = [&](std::size_t begin, std::size_t end) {
       for (std::size_t k = begin; k < end; ++k) {
-        const auto i = subset_[k];
-        rates_[k] = hypothesis_rate(at, response, positions_[i], strengths_[i], cache, field);
+        const auto i = s.subset[k];
+        s.rates[k] = hypothesis_rate(at, response, positions_[i], strengths_[i], cache, field);
       }
     };
     if (pool_ != nullptr) {
@@ -282,7 +311,8 @@ bool FusionParticleFilter::select_and_rate(const Point2& at, const SensorRespons
   return true;
 }
 
-std::size_t FusionParticleFilter::apply_scores(double k_sum, double reps, double log_fact_sum) {
+std::size_t FusionParticleFilter::apply_scores(Scratch& s, double k_sum, double reps,
+                                              double log_fact_sum) {
   // The weight-update span covers Poisson scoring through the resample
   // decision; when the resample runs, its span nests inside this one.
   const obs::ScopedSpan span(tracer_, obs::Stage::kWeightUpdate);
@@ -292,26 +322,27 @@ std::size_t FusionParticleFilter::apply_scores(double k_sum, double reps, double
   // explicitly below, so the rescaling cannot tilt the subset-vs-rest
   // balance (the paper normalizes globally after merging; preserving subset
   // mass keeps the same invariant without underflow).
-  const std::span<const std::uint32_t> subset = subset_;
+  const std::span<const std::uint32_t> subset = s.subset;
   const double subset_mass_before =
       std::accumulate(subset.begin(), subset.end(), 0.0,
                       [&](double acc, std::uint32_t i) { return acc + weights_[i]; });
   if (subset_mass_before <= 0.0) return 0;
 
   const std::size_t n = subset.size();
-  subset_weights_.resize(n);
-  simd::assert_vector_aligned(subset_weights_.data());
+  simd::AVector<double>& post = s.posterior;
+  post.resize(n);
+  simd::assert_vector_aligned(post.data());
   const simd::Kernels& ker = simd::kernels();
   const bool fused = reps != 1.0;
   const auto pmf_chunk = [&](std::size_t begin, std::size_t end) {
     const std::size_t len = end - begin;
     if (len == 0) return;
     if (fused) {
-      ker.poisson_log_pmf_fused(k_sum, reps, log_fact_sum, rates_.data() + begin,
-                                subset_weights_.data() + begin, len);
+      ker.poisson_log_pmf_fused(k_sum, reps, log_fact_sum, s.rates.data() + begin,
+                                post.data() + begin, len);
     } else {
-      ker.poisson_log_pmf(k_sum, log_fact_sum, rates_.data() + begin,
-                          subset_weights_.data() + begin, len);
+      ker.poisson_log_pmf(k_sum, log_fact_sum, s.rates.data() + begin, post.data() + begin,
+                          len);
     }
   };
   if (pool_ != nullptr) {
@@ -320,14 +351,14 @@ std::size_t FusionParticleFilter::apply_scores(double k_sum, double reps, double
     pmf_chunk(0, n);
   }
 
-  const double max_ll = ker.max_value(subset_weights_.data(), n);
+  const double max_ll = ker.max_value(post.data(), n);
   if (!std::isfinite(max_ll)) return 0;  // measurement impossible for all hypotheses
 
-  ker.exp_shifted(subset_weights_.data(), max_ll, subset_weights_.data(), n);
+  ker.exp_shifted(post.data(), max_ll, post.data(), n);
   double new_mass = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
-    subset_weights_[k] = weights_[subset[k]] * subset_weights_[k];
-    new_mass += subset_weights_[k];
+    post[k] = weights_[subset[k]] * post[k];
+    new_mass += post[k];
   }
   if (new_mass <= 0.0 || !std::isfinite(new_mass)) return 0;  // degenerate update: skip
   particles_scored_ += n;
@@ -340,14 +371,14 @@ std::size_t FusionParticleFilter::apply_scores(double k_sum, double reps, double
   // not always resample).
   if (cfg_.ess_resample_threshold < 1.0) {
     double sum_sq = 0.0;
-    for (std::size_t k = 0; k < n; ++k) sum_sq += subset_weights_[k] * subset_weights_[k];
+    for (std::size_t k = 0; k < n; ++k) sum_sq += post[k] * post[k];
     if (sum_sq > 0.0 &&
         new_mass * new_mass > cfg_.ess_resample_threshold * static_cast<double>(n) * sum_sq) {
       // Skip the resample: scale the posterior so the subset keeps its prior
       // mass (global weights stay normalized), and leave positions as they
       // are.
       const double scale = subset_mass_before / new_mass;
-      for (std::size_t k = 0; k < n; ++k) weights_[subset[k]] = subset_weights_[k] * scale;
+      for (std::size_t k = 0; k < n; ++k) weights_[subset[k]] = post[k] * scale;
       ++resamples_skipped_;
       return n;
     }
@@ -358,8 +389,9 @@ std::size_t FusionParticleFilter::apply_scores(double k_sum, double reps, double
   // shared evenly) once. ---
   {
     const obs::ScopedSpan resample_span(tracer_, obs::Stage::kResample);
-    resampler_.resample(rng_, subset, subset_cells_, subset_weights_, subset_mass_before,
-                        ParticleSpans{positions_, strengths_, weights_}, index_, refile_);
+    resampler_.resample(rng_, subset, s.subset_cells, post, subset_mass_before,
+                        ParticleSpans{positions_, strengths_, weights_}, index_, s.resample,
+                        refile_);
   }
   ++resamples_performed_;
   return n;

@@ -83,8 +83,10 @@ class FusionParticleFilter {
   /// movement model. Groups of size 1 take the exact process() path bit for
   /// bit. The fused posterior differs from serially applying the K readings
   /// only by floating-point reordering and by resample placement (the serial
-  /// path may resample between readings) — see FilterConfig::
-  /// fused_batch_updates for the policy. Returns |P'| like process().
+  /// path may resample between readings, the fused path once after them);
+  /// both are valid filter iterations over the same evidence. The
+  /// localizer's batch ingest fuses every same-sensor run this way
+  /// (DESIGN.md §5.9). Returns |P'| like process().
   std::size_t process_fused(std::span<const Measurement> group);
 
   /// The same filter iteration for a reading taken at an arbitrary position
@@ -189,16 +191,26 @@ class FusionParticleFilter {
   /// The filter iteration proper; input already validated.
   std::size_t process_reading_impl(const Point2& at, const SensorResponse& response, double cpm);
 
-  /// Selects the fusion subset into subset_, runs predict, and computes the
-  /// per-particle hypothesis rates into rates_. Returns false when the disk
-  /// is empty.
-  bool select_and_rate(const Point2& at, const SensorResponse& response);
-  /// Scores rates_ against the (fused) counts and applies the mass-
+  /// One reading's working memory: the fusion subset, its gathered SoA
+  /// slices, rates and posterior weights, and the resampler's buffers.
+  /// Nothing in it outlives a reading, so every filter on a thread shares
+  /// that thread's copy (particle_filter.cpp).
+  struct Scratch;
+  /// The calling thread's Scratch. Fetched once per reading by the thread
+  /// that runs it; pool chunks work in the caller's buffers and never fetch
+  /// their own.
+  static Scratch& thread_scratch();
+
+  /// Selects the fusion subset into s.subset, runs predict, and computes
+  /// the per-particle hypothesis rates into s.rates. Returns false when the
+  /// disk is empty.
+  bool select_and_rate(Scratch& s, const Point2& at, const SensorResponse& response);
+  /// Scores s.rates against the (fused) counts and applies the mass-
   /// preserving weight update + ESS-gated resample. `k_sum`/`reps`/
   /// `log_fact_sum` describe the reading group (reps == 1 for a single
   /// reading — the plain single-k expression). Returns |P'| or 0 on a
   /// degenerate update.
-  std::size_t apply_scores(double k_sum, double reps, double log_fact_sum);
+  std::size_t apply_scores(Scratch& s, double k_sum, double reps, double log_fact_sum);
 
   const Environment* env_;
   std::vector<Sensor> sensors_;
@@ -230,19 +242,6 @@ class FusionParticleFilter {
   std::uint64_t resamples_skipped_ = 0;
   std::uint64_t fused_groups_ = 0;
   std::uint64_t fused_readings_ = 0;
-
-  // Scratch buffers reused across iterations: after warmup, a reading must
-  // not allocate (tests/test_alloc_steady.cpp pins this).
-  std::vector<std::uint32_t> subset_;
-  std::vector<std::uint32_t> subset_cells_;  // index cell of each subset_ entry
-  simd::AVector<double> subset_weights_;
-  // batch-kernel gather slices of the fusion subset (SoA)
-  simd::AVector<double> scratch_x_;
-  simd::AVector<double> scratch_y_;
-  simd::AVector<double> scratch_s_;
-  simd::AVector<double> scratch_t_;
-  // per-particle hypothesis rates of the fusion subset
-  simd::AVector<double> rates_;
 };
 
 }  // namespace radloc

@@ -114,26 +114,31 @@ void LocalResampler::resample(Rng& rng, std::span<const std::uint32_t> subset,
                               std::span<const std::uint32_t> cells,
                               std::span<const double> posterior, double mass,
                               ParticleSpans particles, const SlottedGridIndex& index,
-                              std::vector<std::uint32_t>& moved) {
+                              Scratch& scratch, std::vector<std::uint32_t>& moved) const {
   const std::size_t n = subset.size();
-  systematic_resample(rng, posterior, n, picks_);
+  std::vector<std::uint32_t>& picks = scratch.picks;
+  std::vector<Drawn>& drawn = scratch.drawn;
+  std::vector<std::uint32_t>& cell_head = scratch.cell_head;
+  std::vector<std::uint32_t>& slot_next = scratch.slot_next;
+  std::vector<std::uint32_t>& leftover = scratch.leftover;
+  systematic_resample(rng, posterior, n, picks);
 
   // A drawn particle's first copy stays in its own slot, unjittered. Every
   // other draw — a jittered duplicate, or a fresh particle replacing a draw
   // (Sec. V-E, last para.) — is staged until all draws are made, since the
   // slots it may land in are still being read. Replaced draws are found by
   // geometric gaps, one uniform per replacement rather than one per slot.
-  slot_next_.assign(n, kNone);  // kKept marks the slots that keep their particle
-  drawn_.clear();
+  slot_next.assign(n, kNone);  // kKept marks the slots that keep their particle
+  drawn.clear();
   std::size_t fresh = replacement_gap(rng, n);
   std::uint32_t prev = kNone;
   for (std::size_t k = 0; k < n; ++k) {
-    const std::uint32_t pick = picks_[k];
+    const std::uint32_t pick = picks[k];
     if (k == fresh) {
-      drawn_.push_back(Drawn{random_position(rng), random_strength(rng)});
+      drawn.push_back(Drawn{random_position(rng), random_strength(rng)});
       fresh = k + 1 + replacement_gap(rng, n);
     } else if (pick != prev) {
-      slot_next_[pick] = kKept;
+      slot_next[pick] = kKept;
     } else {
       // Duplicated particle: regularization jitter (Gordon et al. [24]).
       const std::uint32_t i = subset[pick];
@@ -145,17 +150,18 @@ void LocalResampler::resample(Rng& rng, std::span<const std::uint32_t> subset,
         d.strength *= std::exp(normal(rng, 0.0, cfg_.strength_jitter_sigma));
         d.strength = std::clamp(d.strength, cfg_.strength_min, cfg_.strength_max);
       }
-      drawn_.push_back(d);
+      drawn.push_back(d);
     }
     prev = pick;
   }
 
-  // Per-cell lists of the slots left free, in subset order.
-  cell_head_.resize(index.num_cells(), kNone);
+  // Per-cell lists of the slots left free, in subset order. The heads array
+  // only grows: the scratch may last have served an index with fewer cells.
+  if (cell_head.size() < index.num_cells()) cell_head.resize(index.num_cells(), kNone);
   for (std::size_t k = n; k-- > 0;) {
-    if (slot_next_[k] == kKept) continue;
-    slot_next_[k] = cell_head_[cells[k]];
-    cell_head_[cells[k]] = static_cast<std::uint32_t>(k);
+    if (slot_next[k] == kKept) continue;
+    slot_next[k] = cell_head[cells[k]];
+    cell_head[cells[k]] = static_cast<std::uint32_t>(k);
   }
   const auto write = [&](std::size_t k, const Drawn& d) {
     const std::uint32_t i = subset[k];
@@ -163,29 +169,29 @@ void LocalResampler::resample(Rng& rng, std::span<const std::uint32_t> subset,
     particles.strengths[i] = d.strength;
   };
   // Each staged draw takes the next free slot of the cell it landed in...
-  leftover_.clear();
-  for (std::size_t j = 0; j < drawn_.size(); ++j) {
-    const std::uint32_t cell = index.cell_id(drawn_[j].pos);
-    const std::uint32_t k = cell_head_[cell];
+  leftover.clear();
+  for (std::size_t j = 0; j < drawn.size(); ++j) {
+    const std::uint32_t cell = index.cell_id(drawn[j].pos);
+    const std::uint32_t k = cell_head[cell];
     if (k == kNone) {
-      leftover_.push_back(static_cast<std::uint32_t>(j));
+      leftover.push_back(static_cast<std::uint32_t>(j));
       continue;
     }
-    cell_head_[cell] = slot_next_[k];
-    slot_next_[k] = kKept;
-    write(k, drawn_[j]);
+    cell_head[cell] = slot_next[k];
+    slot_next[k] = kKept;
+    write(k, drawn[j]);
   }
   // ...and the leftover draws fill the remaining free slots in subset order;
   // these are the only particles that change cell. Every slot gets the
-  // uniform weight.
+  // uniform weight, and every head this call set is emptied again.
   const double w = mass / static_cast<double>(n);
   moved.clear();
   std::size_t next = 0;
   for (std::size_t k = 0; k < n; ++k) {
-    cell_head_[cells[k]] = kNone;
+    cell_head[cells[k]] = kNone;
     particles.weights[subset[k]] = w;
-    if (slot_next_[k] == kKept) continue;
-    write(k, drawn_[leftover_[next++]]);
+    if (slot_next[k] == kKept) continue;
+    write(k, drawn[leftover[next++]]);
     moved.push_back(subset[k]);
   }
 }

@@ -37,10 +37,26 @@ struct ParticleSpans {
 };
 
 /// The fusion filter's local resample (Sec. V-E) of one reading's subset P',
-/// with the prior it draws fresh particles from. Its scratch buffers keep
-/// their capacity, so a steady-state resample does not allocate.
+/// with the prior it draws fresh particles from. It holds no per-call state:
+/// the caller lends the working memory (Scratch), which keeps its capacity,
+/// so a steady-state resample does not allocate.
 class LocalResampler {
  public:
+  struct Drawn {
+    Point2 pos;
+    double strength;
+  };
+  /// Working memory of one resample call. One Scratch may serve resamplers
+  /// of any shape, one call at a time: cell_head grows to the largest cell
+  /// count it has seen, and every head is empty between calls.
+  struct Scratch {
+    std::vector<std::uint32_t> picks;
+    std::vector<Drawn> drawn;
+    std::vector<std::uint32_t> cell_head;  ///< per index cell; empty between calls
+    std::vector<std::uint32_t> slot_next;  ///< per subset slot: kept, or free-list link
+    std::vector<std::uint32_t> leftover;   ///< draws that found no slot in their cell
+  };
+
   /// Reads the jitter, replacement and strength-prior fields of `cfg`;
   /// fresh particles are drawn inside `bounds`.
   LocalResampler(const FilterConfig& cfg, const AreaBounds& bounds);
@@ -67,13 +83,9 @@ class LocalResampler {
   void resample(Rng& rng, std::span<const std::uint32_t> subset,
                 std::span<const std::uint32_t> cells, std::span<const double> posterior,
                 double mass, ParticleSpans particles, const SlottedGridIndex& index,
-                std::vector<std::uint32_t>& moved);
+                Scratch& scratch, std::vector<std::uint32_t>& moved) const;
 
  private:
-  struct Drawn {
-    Point2 pos;
-    double strength;
-  };
   /// Slots to skip before the next replaced one: Geometric(frac) failures,
   /// capped at `cap`.
   [[nodiscard]] std::size_t replacement_gap(Rng& rng, std::size_t cap) const;
@@ -84,12 +96,6 @@ class LocalResampler {
   double log_strength_min_;
   double log_strength_max_;
   double log_keep_;  ///< log(1 - random_replacement_frac)
-
-  std::vector<std::uint32_t> picks_;
-  std::vector<Drawn> drawn_;
-  std::vector<std::uint32_t> cell_head_;  ///< per index cell; kNone between calls
-  std::vector<std::uint32_t> slot_next_;  ///< per subset slot: kept, or free-list link
-  std::vector<std::uint32_t> leftover_;  ///< draws that found no slot in their cell
 };
 
 }  // namespace radloc

@@ -267,15 +267,23 @@ std::size_t SessionManager::drain_session(Session& s) {
   s.batch.clear();
   for (const SessionReading& r : s.backlog) s.batch.push_back(r.m);
 
-  // Per-reading latency from callback deltas: one clock read per reading,
-  // charged to the reading that just finished (validation + filter work).
+  // Per-reading latency from callback deltas: one clock read per group
+  // (validation + filter work), shared evenly by the group's readings. A
+  // fused group's callbacks fire together once the whole group has applied,
+  // so a delta per callback would bill the group to its first reading.
   s.batch_latency_us.clear();
   Clock::time_point prev = Clock::now();
-  const BatchIngestResult result =
-      s.localizer.try_process_all(s.batch, [&s, &prev](std::size_t, ReadingFault) {
-        const Clock::time_point now = Clock::now();
-        s.batch_latency_us.push_back(microseconds_between(prev, now));
-        prev = now;
+  std::size_t group_end = 0;
+  double share_us = 0.0;
+  const BatchIngestResult result = s.localizer.try_process_all(
+      s.batch, [&s, &prev, &group_end, &share_us](std::size_t i, ReadingFault) {
+        if (i >= group_end) {
+          const Clock::time_point now = Clock::now();
+          group_end = s.localizer.group_end(s.batch, i);
+          share_us = microseconds_between(prev, now) / static_cast<double>(group_end - i);
+          prev = now;
+        }
+        s.batch_latency_us.push_back(share_us);
       });
 
   const std::size_t drained = s.batch.size();

@@ -120,15 +120,16 @@ struct SessionStats {
   /// Per-reading drain latency percentiles over ALL drained readings, in
   /// microseconds, read from the session's log-scale latency histogram
   /// (bucket-resolution nearest-rank, obs::Histogram::quantile); 0 when no
-  /// reading has been drained yet. latency_samples always equals processed:
+  /// reading has been drained yet. A fused group's drain time is shared
+  /// evenly by its readings. latency_samples always equals processed:
   /// the histogram is updated in the same critical section as the processed
   /// tally, so a stats() snapshot never sees them diverge.
   double p50_latency_us = 0.0;
   double p99_latency_us = 0.0;
   std::size_t latency_samples = 0;
   /// Global ESS fraction (ESS / particle count) and mean fused-group length
-  /// (fused readings / fused groups, 0 when fusing is off or no group of
-  /// >= 2 formed), both recorded at the END of the last drain (before any
+  /// (fused readings / fused groups, 0 while no group of >= 2 has formed),
+  /// both recorded at the END of the last drain (before any
   /// drain: 1.0 and 0). Snapshotted into mu-guarded fields by the drain
   /// itself — stats() never reads the localizer (that would race an
   /// in-flight drain).

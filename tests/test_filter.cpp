@@ -7,6 +7,7 @@
 #include <memory>
 #include <numeric>
 #include <span>
+#include <thread>
 
 #include "radloc/concurrency/thread_pool.hpp"
 #include "radloc/core/localizer.hpp"
@@ -560,6 +561,67 @@ TEST(FusionFilter, DefaultPathMatchesGolden) {
   EXPECT_EQ(still.resamples_skipped(), 0u);
   EXPECT_EQ(h_walk, 0x659a470e54e7ec42ULL) << "random-walk filter path drifted";
   EXPECT_GT(walking.resamples_performed(), 0u);
+}
+
+/// A filter of one shape and the readings it is fed: `steps` sweeps of the
+/// scenario's sensors at NP `particles`.
+struct ShapedRun {
+  Scenario sc;
+  FilterConfig cfg;
+  std::vector<Measurement> feed;
+
+  ShapedRun(Scenario scenario, std::size_t particles, int steps) : sc(std::move(scenario)) {
+    cfg.num_particles = particles;
+    cfg.fusion_range = sc.recommended_fusion_range;
+    MeasurementSimulator sim(sc.env, sc.sensors, sc.sources);
+    Rng noise(31);
+    for (int t = 0; t < steps; ++t) {
+      for (const Measurement& m : sim.sample_time_step(noise)) feed.push_back(m);
+    }
+  }
+  [[nodiscard]] FusionParticleFilter make_filter() const {
+    return FusionParticleFilter(sc.env, sc.sensors, cfg, Rng(5));
+  }
+  [[nodiscard]] std::uint64_t solo() const {
+    FusionParticleFilter f = make_filter();
+    for (const Measurement& m : feed) (void)f.process(m);
+    return state_fingerprint(f);
+  }
+};
+
+// Every filter on a thread shares that thread's per-reading scratch.
+// Scenario A at NP 2000 and Scenario C at NP 15000 differ in index cell
+// count (64 vs 289) and subset size, so any state the scratch carried from
+// one reading to the next (the resampler's cell heads above all) would
+// change one of them.
+TEST(ReadingScratch, InterleavedFiltersOfDifferentShapesMatchSoloRuns) {
+  const ShapedRun a(make_scenario_a(10.0), 2000, 3);
+  const ShapedRun c(make_scenario_c(), 15000, 1);
+  FusionParticleFilter fa = a.make_filter();
+  FusionParticleFilter fc = c.make_filter();
+  for (std::size_t k = 0; k < std::max(a.feed.size(), c.feed.size()); ++k) {
+    if (k < a.feed.size()) (void)fa.process(a.feed[k]);
+    if (k < c.feed.size()) (void)fc.process(c.feed[k]);
+  }
+  EXPECT_EQ(state_fingerprint(fa), a.solo());
+  EXPECT_EQ(state_fingerprint(fc), c.solo());
+  EXPECT_GT(fa.resamples_performed(), 0u);
+  EXPECT_GT(fc.resamples_performed(), 0u);
+}
+
+TEST(ReadingScratch, FiltersOnTwoThreadsMatchSoloRuns) {
+  const ShapedRun a(make_scenario_a(10.0), 2000, 3);
+  const ShapedRun c(make_scenario_c(), 15000, 1);
+  std::uint64_t ha = 0;
+  std::uint64_t hc = 0;
+  {
+    std::thread ta([&] { ha = a.solo(); });
+    std::thread tc([&] { hc = c.solo(); });
+    ta.join();
+    tc.join();
+  }
+  EXPECT_EQ(ha, a.solo());
+  EXPECT_EQ(hc, c.solo());
 }
 
 TEST(FusionFilter, IndexUpkeepRarelyRelaysOut) {

@@ -291,7 +291,6 @@ TEST(FusedUpdates, LocalizerBatchGroupsConsecutiveSameSensorRuns) {
   cfg.filter.num_particles = 600;
   cfg.filter.fusion_range = sc.recommended_fusion_range;
   cfg.filter.ess_resample_threshold = 0.5;
-  cfg.filter.fused_batch_updates = true;
   MultiSourceLocalizer loc(sc.env, sc.sensors, cfg, 42);
 
   MeasurementSimulator sim(sc.env, sc.sensors, sc.sources);
@@ -305,6 +304,26 @@ TEST(FusedUpdates, LocalizerBatchGroupsConsecutiveSameSensorRuns) {
   EXPECT_EQ(f.iteration(), batch.size());
   EXPECT_GT(f.fused_groups(), 0u);
   EXPECT_EQ(f.fused_readings(), 4 * f.fused_groups()) << "every run in this batch has length 4";
+
+  // A shuffled step, in which no sensor follows itself: every group has
+  // size one, so the batch path must equal a try_process loop bit for bit
+  // and fuse nothing.
+  std::vector<Measurement> step = sim.sample_time_step(noise);
+  Rng shuffle_rng(9);
+  std::shuffle(step.begin(), step.end(), shuffle_rng);
+  for (std::size_t i = 1; i < step.size(); ++i) ASSERT_NE(step[i].sensor, step[i - 1].sensor);
+  MultiSourceLocalizer batched(sc.env, sc.sensors, cfg, 43);
+  MultiSourceLocalizer serial(sc.env, sc.sensors, cfg, 43);
+  const BatchIngestResult res = batched.try_process_all(step);
+  for (const Measurement& m : step) ASSERT_EQ(serial.try_process(m), ReadingFault::kNone);
+  EXPECT_EQ(res.processed, step.size());
+  EXPECT_EQ(batched.filter().fused_groups(), 0u);
+  ASSERT_EQ(batched.iterations(), serial.iterations());
+  for (std::size_t i = 0; i < batched.filter().size(); ++i) {
+    ASSERT_EQ(batched.filter().weights()[i], serial.filter().weights()[i]) << i;
+    ASSERT_EQ(batched.filter().positions()[i], serial.filter().positions()[i]) << i;
+    ASSERT_EQ(batched.filter().strengths()[i], serial.filter().strengths()[i]) << i;
+  }
 }
 
 TEST(FusedUpdates, TryProcessAllBreaksRunsOnMalformedWithoutDoubleTally) {
@@ -312,7 +331,6 @@ TEST(FusedUpdates, TryProcessAllBreaksRunsOnMalformedWithoutDoubleTally) {
   f.cfg.filter.num_particles = 400;
   f.cfg.filter.fusion_range = 60.0;
   f.cfg.filter.ess_resample_threshold = 0.5;
-  f.cfg.filter.fused_batch_updates = true;
   MultiSourceLocalizer loc(f.env, f.sensors, f.cfg, 42);
 
   const double nan = std::nan("");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "radloc/eval/matching.hpp"
@@ -237,7 +238,6 @@ TEST(SessionManager, StatsSurfaceEssFraction) {
 TEST(SessionManager, StatsSurfaceFusedBatchLength) {
   Fixture f;
   f.cfg.localizer.filter.ess_resample_threshold = 0.5;
-  f.cfg.localizer.filter.fused_batch_updates = true;
   ThreadPool pool(2, 2);
   SessionManager mgr(pool);
   const auto id = mgr.open(f.env, f.sensors, f.cfg, 7);
@@ -249,6 +249,29 @@ TEST(SessionManager, StatsSurfaceFusedBatchLength) {
   }
   (void)mgr.drain_all();
   EXPECT_EQ(mgr.stats(id).fused_batch_len, 4.0) << "repeat-4 runs must fuse";
+}
+
+TEST(SessionManager, FusedGroupDrainTimeIsSharedByItsReadings) {
+  // A fused group's callbacks fire together once the group has applied. Its
+  // readings must share the group's time: billing it all to the first would
+  // leave the other three near 0 us, under the histogram's first bound.
+  Fixture f;
+  f.cfg.localizer.filter.num_particles = 4000;
+  ThreadPool pool(1);
+  obs::MetricsRegistry registry;
+  SessionManager mgr(pool, ServiceObservability{&registry, nullptr});
+  const auto id = mgr.open(f.env, f.sensors, f.cfg, 7);
+  std::size_t fed = 0;
+  for (const auto& r : make_feed(f, {{{40, 60}, 40.0}}, 3, 8)) {
+    for (int k = 0; k < 4; ++k, ++fed) ASSERT_EQ(mgr.ingest(id, r), IngestStatus::kQueued);
+  }
+  (void)mgr.drain_all();
+  EXPECT_EQ(mgr.stats(id).fused_batch_len, 4.0);
+  const obs::Histogram& latency =
+      registry.histogram("radloc_session_drain_latency_us", {{"session", std::to_string(id)}});
+  ASSERT_EQ(latency.count(), fed);
+  EXPECT_EQ(latency.bucket_count(0), 0u)
+      << "readings drained in under " << latency.upper_bound(0) << " us";
 }
 
 TEST(SessionManager, SessionsAreIndependent) {

@@ -6,17 +6,21 @@
 // sessions over one shared pool — ingests racing drains racing telemetry
 // reads, feeds arriving interleaved, lossy, and out of order — leaves every
 // session's filter state BIT-IDENTICAL to the same delivered sequence
-// replayed serially through a standalone localizer. Drain batch boundaries,
-// thread scheduling, and which worker runs which drain must all be
-// invisible in the result.
+// replayed serially through a standalone localizer in the same drain
+// batches. Thread scheduling and which worker runs which drain must be
+// invisible in the result, and so must the batch boundaries of a feed in
+// which no sensor's reading directly follows its own (a batch fuses each
+// same-sensor run into one update, so a run a boundary splits fuses as two).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -92,13 +96,64 @@ SessionScript make_script(const Environment& env, const std::vector<Sensor>& sen
   return script;
 }
 
-/// Serial ground truth: the exact delivered sequence through a standalone
-/// localizer, mirroring the service's ingest-time timestamp gate (the
-/// localizer itself never sees timestamps).
+/// Reading-by-reading replay: the exact delivered sequence through a
+/// standalone localizer, mirroring the service's ingest-time timestamp gate
+/// (the localizer itself never sees timestamps).
 void replay_serial(MultiSourceLocalizer& serial, const SessionScript& script) {
   for (const SessionReading& r : script.feed) {
     if (MeasurementValidator::check_timestamp(r.timestamp) != ReadingFault::kNone) continue;
     (void)serial.try_process(r.m);
+  }
+}
+
+/// Notes the end of the batch the last drain_all() took from a session: its
+/// processed count, which only the draining thread advances.
+void note_drain(std::vector<std::size_t>& ends, std::size_t processed) {
+  if (processed > (ends.empty() ? 0 : ends.back())) ends.push_back(processed);
+}
+
+/// Serial ground truth: the readings the session queued, in order, through
+/// a standalone localizer in the service's drain batches (`ends`).
+void replay_drains(MultiSourceLocalizer& serial, std::span<const Measurement> queued,
+                   const std::vector<std::size_t>& ends) {
+  std::size_t begin = 0;
+  for (const std::size_t end : ends) {
+    (void)serial.try_process_all(queued.subspan(begin, end - begin));
+    begin = end;
+  }
+  ASSERT_EQ(begin, queued.size());
+}
+
+bool has_same_sensor_run(const std::vector<Measurement>& readings) {
+  return std::adjacent_find(readings.begin(), readings.end(),
+                            [](const Measurement& a, const Measurement& b) {
+                              return a.sensor == b.sensor;
+                            }) != readings.end();
+}
+
+void expect_same_particles(const MultiSourceLocalizer& a, const MultiSourceLocalizer& b,
+                           std::size_t k) {
+  ASSERT_EQ(a.filter().size(), b.filter().size()) << k;
+  ASSERT_EQ(a.iterations(), b.iterations()) << k;
+  for (std::size_t i = 0; i < a.filter().size(); ++i) {
+    ASSERT_EQ(a.filter().weights()[i], b.filter().weights()[i]) << k << ":" << i;
+    ASSERT_EQ(a.filter().positions()[i], b.filter().positions()[i]) << k << ":" << i;
+    ASSERT_EQ(a.filter().strengths()[i], b.filter().strengths()[i]) << k << ":" << i;
+  }
+}
+
+/// The serial replay checks shared by both harnesses: the managed session
+/// equals the drain-batch replay bit for bit, and a feed without same-sensor
+/// runs also equals the reading-by-reading replay.
+void expect_matches_serial(const MultiSourceLocalizer& managed, MultiSourceLocalizer& serial,
+                           MultiSourceLocalizer& per_reading, const SessionScript& script,
+                           const std::vector<Measurement>& queued,
+                           const std::vector<std::size_t>& drains, std::size_t k) {
+  replay_drains(serial, queued, drains);
+  expect_same_particles(managed, serial, k);
+  if (!has_same_sensor_run(queued)) {
+    replay_serial(per_reading, script);
+    expect_same_particles(managed, per_reading, k);
   }
 }
 
@@ -134,7 +189,11 @@ TEST_P(StressService, ConcurrentMultiplexBitIdenticalToSerialReplay) {
 
   // Producers own disjoint session subsets (per-session arrival order is
   // the feed contract); the main thread drains concurrently, so ingest,
-  // drain scheduling, filter work, and stats reads all overlap.
+  // drain scheduling, filter work, and stats reads all overlap. Each
+  // producer records what its sessions queued; the main thread, the only
+  // drainer, records each session's drain batches.
+  std::vector<std::vector<Measurement>> queued(kSessions);
+  std::vector<std::vector<std::size_t>> drains(kSessions);
   std::atomic<std::size_t> producers_done{0};
   std::vector<std::thread> producers;
   for (std::size_t p = 0; p < kProducers; ++p) {
@@ -144,6 +203,7 @@ TEST_P(StressService, ConcurrentMultiplexBitIdenticalToSerialReplay) {
           const IngestStatus status = mgr.ingest(ids[k], r);
           ASSERT_NE(status, IngestStatus::kRejectedFull);
           ASSERT_NE(status, IngestStatus::kQueuedDroppedOldest);
+          if (status == IngestStatus::kQueued) queued[k].push_back(r.m);
         }
       }
       producers_done.fetch_add(1);
@@ -151,11 +211,12 @@ TEST_P(StressService, ConcurrentMultiplexBitIdenticalToSerialReplay) {
   }
   while (producers_done.load() < kProducers) {
     mgr.drain_all();
-    for (std::size_t k = 0; k < kSessions; ++k) (void)mgr.stats(ids[k]);
+    for (std::size_t k = 0; k < kSessions; ++k) note_drain(drains[k], mgr.stats(ids[k]).processed);
     std::this_thread::yield();
   }
   for (auto& t : producers) t.join();
   mgr.drain_all();
+  for (std::size_t k = 0; k < kSessions; ++k) note_drain(drains[k], mgr.stats(ids[k]).processed);
 
   for (std::size_t k = 0; k < kSessions; ++k) {
     const SessionScript& script = scripts[k];
@@ -169,21 +230,12 @@ TEST_P(StressService, ConcurrentMultiplexBitIdenticalToSerialReplay) {
     EXPECT_EQ(st.dropped_oldest, 0u) << k;
 
     MultiSourceLocalizer serial(env, sensors, cfg.localizer, master_seed ^ (k * 7919));
-    replay_serial(serial, script);
+    MultiSourceLocalizer per_reading(env, sensors, cfg.localizer, master_seed ^ (k * 7919));
+    const auto& managed = mgr.localizer(ids[k]);
+    expect_matches_serial(managed, serial, per_reading, script, queued[k], drains[k], k);
     // applied == what the serial replay applied (drain-time rejects mirror
     // try_process verdicts exactly).
     EXPECT_EQ(st.applied, serial.iterations()) << k;
-
-    const auto& managed = mgr.localizer(ids[k]);
-    ASSERT_EQ(managed.filter().size(), serial.filter().size()) << k;
-    ASSERT_EQ(managed.iterations(), serial.iterations()) << k;
-    for (std::size_t i = 0; i < managed.filter().size(); ++i) {
-      ASSERT_EQ(managed.filter().weights()[i], serial.filter().weights()[i]) << k << ":" << i;
-      ASSERT_EQ(managed.filter().positions()[i], serial.filter().positions()[i])
-          << k << ":" << i;
-      ASSERT_EQ(managed.filter().strengths()[i], serial.filter().strengths()[i])
-          << k << ":" << i;
-    }
 
     // The estimates (mean-shift over identical clouds) must agree too —
     // managed through the shared pool, serial through its own.
@@ -234,6 +286,8 @@ TEST(StressServiceObs, EnabledObservabilityKeepsDeterminismAndSnapshotConsistenc
     ids.push_back(mgr.open(env, sensors, cfg, master_seed ^ (k * 7919)));
   }
 
+  std::vector<std::vector<Measurement>> queued(kSessions);
+  std::vector<std::vector<std::size_t>> drains(kSessions);
   std::atomic<std::size_t> producers_done{0};
   std::vector<std::thread> producers;
   for (std::size_t p = 0; p < kProducers; ++p) {
@@ -243,6 +297,7 @@ TEST(StressServiceObs, EnabledObservabilityKeepsDeterminismAndSnapshotConsistenc
           const IngestStatus status = mgr.ingest(ids[k], r);
           ASSERT_NE(status, IngestStatus::kRejectedFull);
           ASSERT_NE(status, IngestStatus::kQueuedDroppedOldest);
+          if (status == IngestStatus::kQueued) queued[k].push_back(r.m);
         }
       }
       producers_done.fetch_add(1);
@@ -258,6 +313,7 @@ TEST(StressServiceObs, EnabledObservabilityKeepsDeterminismAndSnapshotConsistenc
       EXPECT_LE(st.applied, st.processed) << k;
       EXPECT_LE(st.processed + st.queue_depth, st.ingested) << k;
       EXPECT_EQ(st.latency_samples, st.processed) << k;
+      note_drain(drains[k], st.processed);
     }
     // Concurrent export: visits every instrument and samples the pull
     // gauges (pool stats, session count) while drains are running.
@@ -271,6 +327,7 @@ TEST(StressServiceObs, EnabledObservabilityKeepsDeterminismAndSnapshotConsistenc
     const SessionScript& script = scripts[k];
     const std::size_t valid = script.feed.size() - script.malformed;
     const SessionStats st = mgr.stats(ids[k]);
+    note_drain(drains[k], st.processed);
     EXPECT_EQ(st.queue_depth, 0u) << k;
     EXPECT_EQ(st.ingested, valid) << k;
     EXPECT_EQ(st.processed, valid) << k;
@@ -294,18 +351,10 @@ TEST(StressServiceObs, EnabledObservabilityKeepsDeterminismAndSnapshotConsistenc
     // Tracing and metric mirroring must not perturb the filter: state stays
     // bit-identical to the serial replay, exactly as in the plain harness.
     MultiSourceLocalizer serial(env, sensors, cfg.localizer, master_seed ^ (k * 7919));
-    replay_serial(serial, script);
+    MultiSourceLocalizer per_reading(env, sensors, cfg.localizer, master_seed ^ (k * 7919));
+    expect_matches_serial(mgr.localizer(ids[k]), serial, per_reading, script, queued[k],
+                          drains[k], k);
     EXPECT_EQ(st.applied, serial.iterations()) << k;
-    const auto& managed = mgr.localizer(ids[k]);
-    ASSERT_EQ(managed.filter().size(), serial.filter().size()) << k;
-    ASSERT_EQ(managed.iterations(), serial.iterations()) << k;
-    for (std::size_t i = 0; i < managed.filter().size(); ++i) {
-      ASSERT_EQ(managed.filter().weights()[i], serial.filter().weights()[i]) << k << ":" << i;
-      ASSERT_EQ(managed.filter().positions()[i], serial.filter().positions()[i])
-          << k << ":" << i;
-      ASSERT_EQ(managed.filter().strengths()[i], serial.filter().strengths()[i])
-          << k << ":" << i;
-    }
   }
 
   // The sink saw spans (sampling 1-in-4 over thousands of stage executions)

@@ -16,10 +16,8 @@
 # gauntlet here; run bench_compare.py --strict by hand on full runs).
 #
 # The `serve` stage smoke-tests the streaming service end to end: radloc_serve
-# in all three ingest modes (synthetic, trace replay, stdin line protocol)
-# plus bench_session_multiplex --smoke diffed against the committed
-# BENCH_session_multiplex.json. The diff is informational by default; pass
-# --strict to make flagged regressions fail the stage.
+# in all three ingest modes (synthetic, trace replay, stdin line protocol).
+# The service's performance is measured by the `e2e` stage's benchmark.
 #
 # The `obs` stage smoke-tests the observability layer (DESIGN.md §5.10):
 # radloc_serve with --metrics-out/--trace-out, python3-validating that the
@@ -83,13 +81,6 @@ for stage in "${stages[@]}"; do
     echo "==> [$stage] line-protocol smoke"
     printf 'ingest 1 0.0 0 12.5\ningest 1 0.0 1 -5\ndrain\nstats 1\nestimate 1\nquit\n' | \
         "$tree/tools/radloc_serve" --sessions 1 --stdin --particles 300
-    echo "==> [$stage] bench_session_multiplex --smoke + compare vs baseline"
-    (cd "$tree/bench" && ./bench_session_multiplex --smoke)
-    if [ -n "$strict" ]; then
-      python3 tools/bench_compare.py session_multiplex --fresh-dir "$tree/bench" --strict
-    else
-      python3 tools/bench_compare.py session_multiplex --fresh-dir "$tree/bench" || true
-    fi
     echo "==> [$stage] OK"
     continue
   fi

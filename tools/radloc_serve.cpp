@@ -49,7 +49,6 @@ struct Options {
   std::size_t queue_capacity = 1024;
   bool drop_oldest = false;
   bool order_by_timestamp = false;
-  bool fused = false;
   std::uint64_t seed = 1;
   std::string metrics_out;  // Prometheus text dump path ("" = metrics off)
   std::string trace_out;    // stage-span JSONL path ("" = tracing off)
@@ -68,9 +67,6 @@ struct Options {
       "  --background <CPM>      per-sensor background (default 5)\n"
       "  --obstacles             enable the scenario's obstacles\n"
       "  --particles <n>         override per-session particle count\n"
-      "  --fused                 fuse consecutive same-sensor readings in each\n"
-      "                          drain into one weight update (tolerance-\n"
-      "                          pinned; watch the fuse stats column)\n"
       "  --queue-capacity <n>    per-session bounded ingest queue (default 1024)\n"
       "  --drop-oldest           backpressure evicts oldest instead of\n"
       "                          rejecting the newest reading\n"
@@ -116,7 +112,6 @@ Options parse(int argc, char** argv) {
     else if (a == "--obstacles") opt.obstacles = true;
     else if (a == "--particles") opt.particles = std::stoul(next(i));
     else if (a == "--queue-capacity") opt.queue_capacity = std::stoul(next(i));
-    else if (a == "--fused") opt.fused = true;
     else if (a == "--drop-oldest") opt.drop_oldest = true;
     else if (a == "--order-by-timestamp") opt.order_by_timestamp = true;
     else if (a == "--dump-every") opt.dump_every = std::stoul(next(i));
@@ -322,7 +317,6 @@ int main(int argc, char** argv) {
   cfg.localizer.filter.num_particles =
       opt.particles ? *opt.particles : scenario.recommended_particles;
   cfg.localizer.filter.fusion_range = scenario.recommended_fusion_range;
-  cfg.localizer.filter.fused_batch_updates = opt.fused;
   cfg.queue_capacity = opt.queue_capacity;
   cfg.backpressure =
       opt.drop_oldest ? BackpressurePolicy::kDropOldest : BackpressurePolicy::kRejectNewest;
