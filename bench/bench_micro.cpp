@@ -1,8 +1,10 @@
 // Micro-benchmarks of the hot primitives (google-benchmark): spatial grid
-// queries and re-filing, the local resample, chord-length ray casts, normal
-// and Poisson sampling, the Poisson log-PMF, and one filter iteration. These are the kernels
-// Table I's end-to-end time decomposes into; regressions here explain
-// regressions there.
+// sorts, queries and re-filing, the local resample, chord-length ray casts,
+// normal and Poisson sampling, the Poisson log-PMF, one filter iteration,
+// one mean-shift sweep, and one localizer estimate that its memo cannot
+// answer. These are the kernels Table I's end-to-end time decomposes into;
+// regressions here explain regressions there. Every BENCH_micro.json row
+// names the SIMD tier it ran at.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -14,6 +16,8 @@
 
 #include "bench_util.hpp"
 #include "radloc/common/math.hpp"
+#include "radloc/core/localizer.hpp"
+#include "radloc/eval/scenarios.hpp"
 #include "radloc/filter/particle_filter.hpp"
 #include "radloc/filter/resample.hpp"
 #include "radloc/geom/grid_index.hpp"
@@ -22,25 +26,30 @@
 #include "radloc/geom/shapes.hpp"
 #include "radloc/rng/distributions.hpp"
 #include "radloc/sensornet/placement.hpp"
+#include "radloc/sensornet/simulator.hpp"
+#include "radloc/simd/simd.hpp"
 
 namespace {
 
 using namespace radloc;
 
-void BM_GridIndexRebuild(benchmark::State& state) {
+// The counting sort mean-shift pays once per estimate.
+void BM_GridIndexSort(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(1);
   const AreaBounds area = make_area(100, 100);
   std::vector<Point2> pts;
   for (std::size_t i = 0; i < n; ++i) pts.push_back(uniform_point(rng, area));
-  GridIndex index(area, 14.0);
+  const GridIndex index(area, 14.0);
+  GridIndex::Layout layout;
   for (auto _ : state) {
-    index.rebuild(pts);
-    benchmark::DoNotOptimize(index.size());
+    index.sort(pts, layout);
+    benchmark::DoNotOptimize(layout.order.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
 }
-BENCHMARK(BM_GridIndexRebuild)->Arg(2000)->Arg(15000);
+BENCHMARK(BM_GridIndexSort)->Arg(2000)->Arg(15000);
 
 // What a filter reading pays to keep its particle index current: re-filing
 // the clustered subset a local resample moved (the points nearest one
@@ -153,21 +162,86 @@ void BM_ResampleSubset(benchmark::State& state) {
 }
 BENCHMARK(BM_ResampleSubset)->Unit(benchmark::kMicrosecond);
 
+// A radius query on a cell-ordered layout: the row walk, filtered to the
+// radius.
 void BM_GridIndexQuery(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(2);
   const AreaBounds area = make_area(100, 100);
   std::vector<Point2> pts;
   for (std::size_t i = 0; i < n; ++i) pts.push_back(uniform_point(rng, area));
-  GridIndex index(area, 14.0);
-  index.rebuild(pts);
+  const GridIndex index(area, 14.0);
+  GridIndex::Layout layout;
+  index.sort(pts, layout);
   std::vector<std::uint32_t> out;
   for (auto _ : state) {
-    index.query_radius(pts, uniform_point(rng, area), 28.0, out);
+    const Point2 c = uniform_point(rng, area);
+    out.clear();
+    index.for_each_row_span(layout, c, 28.0, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t k = begin; k < end; ++k) {
+        const std::uint32_t i = layout.order[k];
+        if (distance2(pts[i], c) <= 28.0 * 28.0) out.push_back(i);
+      }
+    });
     benchmark::DoNotOptimize(out.size());
   }
 }
 BENCHMARK(BM_GridIndexQuery)->Arg(2000)->Arg(15000);
+
+/// A localizer fed `steps` in-order time steps of its scenario: Scenario A
+/// at NP 2000, Scenario C (Poisson layout, obstacles) at NP 15000.
+struct ConvergedLocalizer {
+  Scenario sc;
+  MultiSourceLocalizer loc;
+
+  static Scenario scenario_for(std::size_t particles) {
+    return particles <= 2000 ? make_scenario_a(10.0) : make_scenario_c();
+  }
+  static LocalizerConfig config_for(const Scenario& sc, std::size_t particles) {
+    LocalizerConfig cfg;
+    cfg.filter.num_particles = particles;
+    cfg.filter.fusion_range = sc.recommended_fusion_range;
+    return cfg;
+  }
+
+  ConvergedLocalizer(std::size_t particles, int steps)
+      : sc(scenario_for(particles)), loc(sc.env, sc.sensors, config_for(sc, particles), 11) {
+    MeasurementSimulator sim(sc.env, sc.sensors, sc.sources);
+    Rng noise(12);
+    for (int t = 0; t < steps; ++t) loc.process_all(sim.sample_time_step(noise));
+  }
+};
+
+// One mean-shift sweep (seeding, ascents, merge, support) over a converged
+// filter cloud, serial.
+void BM_MeanShift(benchmark::State& state) {
+  const auto particles = static_cast<std::size_t>(state.range(0));
+  const ConvergedLocalizer run(particles, 8);
+  const FusionParticleFilter& filter = run.loc.filter();
+  ThreadPool pool(1);
+  MeanShiftEstimator estimator(run.sc.env.bounds(), MeanShiftConfig{}, pool);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        estimator.estimate(filter.positions(), filter.strengths(), filter.weights()));
+  }
+}
+BENCHMARK(BM_MeanShift)->Arg(2000)->Arg(15000)->Unit(benchmark::kMicrosecond);
+
+// MultiSourceLocalizer::estimate() when its memo cannot answer: each
+// iteration first applies a reading whose fusion disk is empty (far outside
+// the area), which advances the iteration and changes nothing else, so
+// estimate() runs mean-shift and detection gating in full.
+void BM_EstimateMiss(benchmark::State& state) {
+  const auto particles = static_cast<std::size_t>(state.range(0));
+  ConvergedLocalizer run(particles, 8);
+  const Point2 far{run.sc.env.bounds().min.x - 1e4, run.sc.env.bounds().min.y - 1e4};
+  const SensorResponse response = run.sc.sensors.front().response;
+  for (auto _ : state) {
+    (void)run.loc.filter().process_reading(far, response, 5.0);
+    benchmark::DoNotOptimize(run.loc.estimate());
+  }
+}
+BENCHMARK(BM_EstimateMiss)->Arg(2000)->Arg(15000)->Unit(benchmark::kMicrosecond);
 
 void BM_ChordLength(benchmark::State& state) {
   const Polygon u = make_u_shape(20, 20, 80, 70, 8.0);
@@ -259,8 +333,9 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
 
   radloc::bench::JsonWriter json("micro");
+  const std::string tier = std::string(",simd:") + simd::tier_name(simd::active_tier());
   for (const auto& [name, secs] : reporter.seconds) {
-    json.add("kernels", name, "seconds_per_op", secs);
+    json.add("kernels", name + tier, "seconds_per_op", secs);
   }
   json.write();
   return 0;

@@ -110,6 +110,93 @@ BatchIngestResult MultiSourceLocalizer::try_process_all(
   return result;
 }
 
+double MultiSourceLocalizer::contribution(const Source& src, const Sensor& s) const {
+  return cfg_.filter.use_known_obstacles
+             ? expected_cpm_single(s.pos, src, filter_.environment(), s.response) -
+                   s.response.background_cpm
+             : expected_cpm_single_free_space(s.pos, src, s.response) - s.response.background_cpm;
+}
+
+void MultiSourceLocalizer::append_terms(const Point2& pos, std::vector<Term>& out) const {
+  for (const Sensor& s : filter_.sensors()) {
+    if (recent_size_[s.id] == 0) continue;
+    if (distance(s.pos, pos) > cfg_.filter.fusion_range) continue;
+    const double gain = contribution(Source{pos, 1.0}, s);
+    if (gain <= 0.0) continue;
+    const auto n = static_cast<double>(recent_size_[s.id]);
+    double sum = 0.0;
+    for (std::size_t r = 0; r < recent_size_[s.id]; ++r) sum += recent_readings_[s.id][r];
+    out.push_back(Term{n, sum / n, s.response.background_cpm, gain, s.id});
+  }
+}
+
+void MultiSourceLocalizer::add_to_bases(const Source& src, std::span<Term> terms) const {
+  for (Term& t : terms) t.base += contribution(src, filter_.sensors()[t.sensor]);
+}
+
+double MultiSourceLocalizer::max_profile(std::span<const Term> terms, double strength_max) {
+  if (terms.empty()) return -std::numeric_limits<double>::infinity();
+  const auto f = [&](double s) {
+    double total = 0.0;
+    for (const auto& t : terms) {
+      const double base = std::max(t.base, kMinBase);
+      total += t.n * (t.mean * std::log1p(s * t.gain / base) - s * t.gain);
+    }
+    return total;
+  };
+  // f'(s) = sum n * gain * (mean / (base + s * gain) - 1), decreasing and
+  // convex in s; f''(s) = -sum n * mean * gain^2 / (base + s * gain)^2.
+  const auto slope = [&](double s, double& curvature) {
+    double d1 = 0.0;
+    double d2 = 0.0;
+    for (const auto& t : terms) {
+      const double rate = std::max(t.base, kMinBase) + s * t.gain;
+      const double r = t.mean / rate;
+      d1 += t.n * t.gain * (r - 1.0);
+      d2 -= t.n * t.gain * t.gain * r / rate;
+    }
+    curvature = d2;
+    return d1;
+  };
+
+  double curvature = 0.0;
+  if (slope(0.0, curvature) <= 0.0) {
+    // No strength adds evidence: the supremum, 0, is approached only as
+    // s -> 0. Report f a hair above 0, at smax * (2/3)^80 / 2 — where the
+    // 80-step ternary search this maximiser replaced settled — so the value
+    // is negative whenever f'(0) < 0 and a threshold of 0 still rejects the
+    // candidate, as it always has.
+    double hi = strength_max;
+    for (int i = 0; i < 80; ++i) hi -= hi / 3.0;
+    return f(0.5 * hi);
+  }
+  if (slope(strength_max, curvature) >= 0.0) return f(strength_max);
+
+  // Safeguarded Newton on f' = 0 inside the bracket [lo, hi], which always
+  // holds the root. From the left a Newton step on a convex decreasing f'
+  // never passes the root; a step that leaves the bracket anyway (rounding)
+  // bisects instead.
+  double lo = 0.0;
+  double hi = strength_max;
+  double s = 0.0;
+  for (int iter = 0; iter < 100; ++iter) {
+    const double d = slope(s, curvature);
+    if (d > 0.0) {
+      lo = s;
+    } else if (d < 0.0) {
+      hi = s;
+    } else {
+      break;
+    }
+    double next = s - d / curvature;
+    if (!(next > lo && next < hi)) next = 0.5 * (lo + hi);
+    const bool converged = std::abs(next - s) <= 1e-12 * next;
+    s = next;
+    if (converged) break;
+  }
+  return f(s);
+}
+
 double MultiSourceLocalizer::detection_evidence(
     const SourceEstimate& candidate, std::span<const SourceEstimate> accepted) const {
   // Profile-likelihood detection test at the candidate's position: with
@@ -120,62 +207,27 @@ double MultiSourceLocalizer::detection_evidence(
   // maximized over the nuisance strength s >= 0 (f is concave in s). This
   // asks "is there ANY source strength here that adds evidence" — robust to
   // the mode's own strength estimate being noisy.
-  const double range = cfg_.filter.fusion_range;
-  const Environment& env = filter_.environment();
-  const bool obstacles = cfg_.filter.use_known_obstacles;
-
-  auto contribution = [&](const Source& src, const Sensor& s) {
-    return obstacles ? expected_cpm_single(s.pos, src, env, s.response) -
-                           s.response.background_cpm
-                     : expected_cpm_single_free_space(s.pos, src, s.response) -
-                           s.response.background_cpm;
-  };
-
-  struct Term {
-    double n, mean, base, gain;
-  };
   std::vector<Term> terms;
-  for (const Sensor& s : filter_.sensors()) {
-    if (recent_size_[s.id] == 0) continue;
-    if (distance(s.pos, candidate.pos) > range) continue;
-    double base = s.response.background_cpm;
-    for (const auto& a : accepted) base += contribution(Source{a.pos, a.strength}, s);
-    // Guard the bg = 0 corner: ln(x/0) diverges; floor the base rate at a
-    // fraction of a count so zero-background deployments work.
-    base = std::max(base, 0.1);
-    const double gain = contribution(Source{candidate.pos, 1.0}, s);
-    if (gain <= 0.0) continue;
-    const auto n = static_cast<double>(recent_size_[s.id]);
-    double sum = 0.0;
-    for (std::size_t r = 0; r < recent_size_[s.id]; ++r) sum += recent_readings_[s.id][r];
-    terms.push_back(Term{n, sum / n, base, gain});
-  }
-  if (terms.empty()) return -std::numeric_limits<double>::infinity();
-
-  auto f = [&](double s) {
-    double total = 0.0;
-    for (const auto& t : terms) {
-      total += t.n * (t.mean * std::log1p(s * t.gain / t.base) - s * t.gain);
-    }
-    return total;
-  };
-
-  // Ternary search on the concave profile over the physical strength range.
-  double lo = 0.0;
-  double hi = cfg_.filter.strength_max;
-  for (int iter = 0; iter < 80; ++iter) {
-    const double m1 = lo + (hi - lo) / 3.0;
-    const double m2 = hi - (hi - lo) / 3.0;
-    if (f(m1) < f(m2)) {
-      lo = m1;
-    } else {
-      hi = m2;
-    }
-  }
-  return f(0.5 * (lo + hi));
+  append_terms(candidate.pos, terms);
+  for (const auto& a : accepted) add_to_bases(Source{a.pos, a.strength}, terms);
+  return max_profile(terms, cfg_.filter.strength_max);
 }
 
 std::vector<SourceEstimate> MultiSourceLocalizer::estimate() {
+  const std::uint64_t iteration = filter_.iteration();
+  const std::uint64_t env_revision = filter_.environment().revision();
+  if (memo_.valid && memo_.iteration == iteration && memo_.env_revision == env_revision) {
+    return memo_.estimates;
+  }
+  std::vector<SourceEstimate> out = compute_estimate();
+  memo_.valid = true;
+  memo_.iteration = iteration;
+  memo_.env_revision = env_revision;
+  memo_.estimates = out;
+  return out;
+}
+
+std::vector<SourceEstimate> MultiSourceLocalizer::compute_estimate() {
   // The span covers the whole estimation stage: the mean-shift sweep plus
   // the greedy detection gating that consumes its modes.
   const obs::ScopedSpan span(tracer_, obs::Stage::kMeanShift);
@@ -186,21 +238,40 @@ std::vector<SourceEstimate> MultiSourceLocalizer::estimate() {
   // evidence, fold it into the explained model, repeat until no remaining
   // candidate clears the threshold. Phantom modes that only re-explain the
   // far field of accepted sources see their marginal evidence collapse.
+  // Each candidate's terms are built once; an accepted source's
+  // contribution is then added to the remaining candidates' base rates, in
+  // acceptance order — the additions detection_evidence(candidate, accepted)
+  // makes, so the evidence is the same.
+  const std::size_t count = modes.size();
+  std::vector<Term> terms;
+  std::vector<std::size_t> term_start(count + 1, 0);
+  for (std::size_t i = 0; i < count; ++i) {
+    append_terms(modes[i].pos, terms);
+    term_start[i + 1] = terms.size();
+  }
+  const auto terms_of = [&](std::size_t i) {
+    return std::span<Term>(terms).subspan(term_start[i], term_start[i + 1] - term_start[i]);
+  };
+  std::vector<bool> open(count, true);
   std::vector<SourceEstimate> accepted;
-  std::vector<SourceEstimate> pool = std::move(modes);
-  while (!pool.empty()) {
+  while (accepted.size() < count) {
     double best_gain = -std::numeric_limits<double>::infinity();
-    std::size_t best = pool.size();
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      const double gain = detection_evidence(pool[i], accepted);
+    std::size_t best = count;
+    for (std::size_t i = 0; i < count; ++i) {
+      if (!open[i]) continue;
+      const double gain = max_profile(terms_of(i), cfg_.filter.strength_max);
       if (gain > best_gain) {
         best_gain = gain;
         best = i;
       }
     }
-    if (best == pool.size() || best_gain < cfg_.detection_log_lr) break;
-    accepted.push_back(pool[best]);
-    pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(best));
+    if (best == count || best_gain < cfg_.detection_log_lr) break;
+    accepted.push_back(modes[best]);
+    open[best] = false;
+    const Source src{modes[best].pos, modes[best].strength};
+    for (std::size_t i = 0; i < count; ++i) {
+      if (open[i]) add_to_bases(src, terms_of(i));
+    }
   }
   std::sort(accepted.begin(), accepted.end(),
             [](const SourceEstimate& a, const SourceEstimate& b) {

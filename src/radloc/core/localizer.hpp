@@ -135,13 +135,22 @@ class MultiSourceLocalizer {
   /// against the background-only hypothesis (detection_log_lr), and returns
   /// one estimate per discovered source, sorted by support (Sec. V-D). The
   /// number of returned estimates is the learned K.
+  ///
+  /// The answer is a pure function of the particle cloud, the detection
+  /// history and the environment's obstacles, so it is kept with the state
+  /// it answered: iterations() (every applied reading advances it,
+  /// including one whose fusion disk was empty, and so does every change to
+  /// the detection history) and environment().revision(). A call on the
+  /// same state returns a copy of the kept answer, with no mean-shift and no
+  /// trace span. The SIMD tier is not part of that state: after a
+  /// simd::force_tier() switch, an unchanged localizer keeps its answer.
   [[nodiscard]] std::vector<SourceEstimate> estimate();
 
   /// Accumulated marginal log likelihood ratio of adding `candidate` on top
   /// of the `accepted` source set, over all readings seen so far from
   /// sensors within the fusion range of the candidate. Positive = evidence
   /// the candidate is a real additional source. Exposed for diagnostics and
-  /// tests; estimate() uses it greedily.
+  /// tests; estimate() applies the same test greedily.
   [[nodiscard]] double detection_evidence(
       const SourceEstimate& candidate,
       std::span<const SourceEstimate> accepted = {}) const;
@@ -162,8 +171,41 @@ class MultiSourceLocalizer {
   }
 
  private:
+  /// One sensor's share of a candidate's detection test: n readings with
+  /// mean `mean`, base rate `base` under the accepted sources (floored at
+  /// kMinBase when used), and unit-strength gain `gain` of the candidate.
+  struct Term {
+    double n, mean, base, gain;
+    SensorId sensor;
+  };
+  /// Base-rate floor: ln(x / 0) diverges, so zero-background deployments
+  /// score against a fraction of a count.
+  static constexpr double kMinBase = 0.1;
+
+  /// estimate()'s last answer and the state it answered (see estimate()).
+  struct Memo {
+    bool valid = false;
+    std::uint64_t iteration = 0;
+    std::uint64_t env_revision = 0;
+    std::vector<SourceEstimate> estimates;
+  };
+
   /// Records `m` in the per-sensor detection-history ring.
   void note_reading(const Measurement& m);
+  /// Mean-shift plus greedy detection gating: estimate() without the memo.
+  [[nodiscard]] std::vector<SourceEstimate> compute_estimate();
+  /// Expected counts `src` adds at sensor `s` above its background.
+  [[nodiscard]] double contribution(const Source& src, const Sensor& s) const;
+  /// Appends the detection-test terms of a candidate at `pos`: one per
+  /// sensor within fusion range that has readings and that the candidate
+  /// reaches, with base rates holding the background alone.
+  void append_terms(const Point2& pos, std::vector<Term>& out) const;
+  /// Adds `src`'s contribution to the base rates of `terms`.
+  void add_to_bases(const Source& src, std::span<Term> terms) const;
+  /// The maximum over s in [0, strength_max] of the concave profile
+  ///   f(s) = sum n * (mean * ln(1 + s * gain / base) - s * gain),
+  /// or -inf without terms.
+  [[nodiscard]] static double max_profile(std::span<const Term> terms, double strength_max);
 
   LocalizerConfig cfg_;
   ThreadPool pool_;
@@ -174,6 +216,7 @@ class MultiSourceLocalizer {
   std::vector<std::vector<double>> recent_readings_;
   std::vector<std::size_t> recent_head_;
   std::vector<std::size_t> recent_size_;
+  Memo memo_;
 };
 
 }  // namespace radloc

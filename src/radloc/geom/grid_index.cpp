@@ -15,7 +15,6 @@ GridIndex::GridIndex(const AreaBounds& bounds, double cell_size)
   ny_ = static_cast<std::size_t>(std::ceil(bounds.height() / cell_size));
   nx_ = std::max<std::size_t>(nx_, 1);
   ny_ = std::max<std::size_t>(ny_, 1);
-  cell_start_.assign(nx_ * ny_ + 1, 0);
 }
 
 std::pair<std::int32_t, std::int32_t> GridIndex::cell_of(const Point2& p) const {
@@ -26,32 +25,27 @@ std::pair<std::int32_t, std::int32_t> GridIndex::cell_of(const Point2& p) const 
   return {cx, cy};
 }
 
-void GridIndex::rebuild(std::span<const Point2> points) {
-  std::fill(cell_start_.begin(), cell_start_.end(), 0u);
-  items_.resize(points.size());
-
-  // Counting sort into cells (CSR): walking the points in index order keeps
-  // every cell's items ascending. The two passes reuse member scratch, so a
-  // steady-state rebuild does not allocate.
-  cell_of_point_.resize(points.size());
+void GridIndex::sort(std::span<const Point2> points, Layout& layout) const {
+  // Counting sort: cell_start[c + 2] counts cell c, so after the prefix sum
+  // cell_start[c + 1] is cell c's first slot and the scatter can advance it
+  // in place; walking the points in index order keeps every cell ascending,
+  // and the scatter leaves cell_start[c] at cell c's first slot.
+  auto& start = layout.cell_start;
+  start.assign(cell_count() + 2, 0u);
+  layout.cell.resize(points.size());
+  layout.order.resize(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto [cx, cy] = cell_of(points[i]);
-    const auto cell =
+    const auto c =
         static_cast<std::uint32_t>(static_cast<std::size_t>(cy) * nx_ + static_cast<std::size_t>(cx));
-    cell_of_point_[i] = cell;
-    ++cell_start_[cell + 1];
+    layout.cell[i] = c;
+    ++start[c + 2];
   }
-  for (std::size_t c = 1; c < cell_start_.size(); ++c) cell_start_[c] += cell_start_[c - 1];
-  cursor_.assign(cell_start_.begin(), cell_start_.end() - 1);
+  for (std::size_t c = 2; c < start.size(); ++c) start[c] += start[c - 1];
   for (std::size_t i = 0; i < points.size(); ++i) {
-    items_[cursor_[cell_of_point_[i]]++] = static_cast<std::uint32_t>(i);
+    layout.order[start[layout.cell[i] + 1]++] = static_cast<std::uint32_t>(i);
   }
-}
-
-void GridIndex::query_radius(std::span<const Point2> points, const Point2& c, double r,
-                             std::vector<std::uint32_t>& out) const {
-  out.clear();
-  for_each_in_radius(points, c, r, [&](std::uint32_t i) { out.push_back(i); });
+  start.pop_back();
 }
 
 }  // namespace radloc

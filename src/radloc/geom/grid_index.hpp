@@ -1,15 +1,19 @@
-// Uniform-grid spatial index over a fixed rectangular area.
+// Uniform-grid cell layout over a fixed rectangular area.
 //
-// Mean-shift's truncated-kernel neighbor queries use it: many radius
-// queries over one fixed point set, so the index is flat (CSR layout),
-// cache-friendly, and rebuilt in O(n). The fusion filter, whose particles
-// move every reading, keeps its own SlottedGridIndex
-// (geom/slotted_grid_index.hpp) instead.
+// Mean-shift climbs over a cell-ordered copy of the particle cloud: sort()
+// counting-sorts a point set into cells (row-major, each cell's points in
+// ascending index order), and a radius query then reads, for every grid row
+// the query's bounding square touches, one contiguous slot range
+// (for_each_row_span). The index itself holds only the grid geometry; the
+// layout lives in caller-owned buffers, so one index serves any number of
+// point sets and threads. The fusion filter, whose particles move every
+// reading, keeps its own SlottedGridIndex (geom/slotted_grid_index.hpp)
+// instead.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "radloc/common/types.hpp"
@@ -18,38 +22,39 @@ namespace radloc {
 
 class GridIndex {
  public:
+  /// A point set in cell order. Slots [cell_start[c], cell_start[c + 1])
+  /// hold cell c's points; order[k] is the index of the point in slot k.
+  struct Layout {
+    std::vector<std::uint32_t> cell_start;  ///< cell_count() + 1 offsets
+    std::vector<std::uint32_t> order;       ///< slot -> point index
+    std::vector<std::uint32_t> cell;        ///< sort() scratch: point -> cell
+  };
+
   /// `bounds` is the indexable region (points outside are clamped into the
   /// border cells); `cell_size` > 0 is the grid pitch — pick it near the
-  /// typical query radius.
+  /// typical query radius. Allocates nothing.
   GridIndex(const AreaBounds& bounds, double cell_size);
 
-  /// Rebuilds the index over `points`; item i keeps identifier i.
-  void rebuild(std::span<const Point2> points);
+  /// Counting-sorts `points` into `layout`, reusing its buffers.
+  void sort(std::span<const Point2> points, Layout& layout) const;
 
-  /// Invokes `fn(i)` for every indexed point i with ||points[i] - c|| <= r,
-  /// in layout order. `points` must be the span passed to the last rebuild().
+  /// Invokes `fn(begin, end)` for every grid row, lowest first, that the
+  /// square of half-side `r` around `c` touches: [begin, end) is the slot
+  /// range of that row's cells inside the square. The ranges cover every
+  /// point within `r` of `c` (plus some beyond it), cell by cell and in
+  /// ascending index order within a cell. `layout` must come from sort().
   template <typename Fn>
-  void for_each_in_radius(std::span<const Point2> points, const Point2& c, double r,
-                          Fn&& fn) const {
-    const double r2 = r * r;
+  void for_each_row_span(const Layout& layout, const Point2& c, double r, Fn&& fn) const {
     const auto [cx0, cy0] = cell_of(Point2{c.x - r, c.y - r});
     const auto [cx1, cy1] = cell_of(Point2{c.x + r, c.y + r});
     for (std::int32_t cy = cy0; cy <= cy1; ++cy) {
-      for (std::int32_t cx = cx0; cx <= cx1; ++cx) {
-        const std::size_t cell = static_cast<std::size_t>(cy) * nx_ + static_cast<std::size_t>(cx);
-        for (std::uint32_t k = cell_start_[cell]; k < cell_start_[cell + 1]; ++k) {
-          const std::uint32_t i = items_[k];
-          if (distance2(points[i], c) <= r2) fn(i);
-        }
-      }
+      const std::size_t row = static_cast<std::size_t>(cy) * nx_;
+      fn(layout.cell_start[row + static_cast<std::size_t>(cx0)],
+         layout.cell_start[row + static_cast<std::size_t>(cx1) + 1]);
     }
   }
 
-  /// Radius query collecting matching indices into `out` (cleared first).
-  void query_radius(std::span<const Point2> points, const Point2& c, double r,
-                    std::vector<std::uint32_t>& out) const;
-
-  [[nodiscard]] std::size_t size() const { return items_.size(); }
+  [[nodiscard]] std::size_t cell_count() const { return nx_ * ny_; }
   [[nodiscard]] double cell_size() const { return cell_size_; }
 
  private:
@@ -59,11 +64,6 @@ class GridIndex {
   double cell_size_;
   std::size_t nx_ = 0;
   std::size_t ny_ = 0;
-  std::vector<std::uint32_t> cell_start_;  // CSR offsets, size nx*ny + 1
-  std::vector<std::uint32_t> items_;       // point indices grouped by cell
-  // rebuild() scratch, kept so steady-state rebuilds are allocation-free
-  std::vector<std::uint32_t> cell_of_point_;
-  std::vector<std::uint32_t> cursor_;
 };
 
 }  // namespace radloc

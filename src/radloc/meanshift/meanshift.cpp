@@ -12,24 +12,31 @@ namespace radloc {
 
 namespace {
 
-// Per-thread gather buffers for the batched profile evaluation: ascents for
-// different seeds run concurrently on the pool, and one ascent performs up
-// to max_iterations gathers — thread_local keeps them allocation-free at
-// steady state without racing.
-struct AscendScratch {
+// Slots per kernel call: an ascent evaluates each row range in blocks this
+// long, so its profile buffer lives on the stack of whichever thread runs it.
+constexpr std::size_t kProfileBlock = 256;
+
+// Particles per support chunk (fixed, not per thread, so the merged sums do
+// not depend on the thread count).
+constexpr std::size_t kSupportChunk = 2048;
+
+}  // namespace
+
+struct MeanShiftEstimator::Scratch {
+  GridIndex::Layout layout;
+  // The cloud in slot order: x, y, log strength, weight.
   simd::AVector<double> x;
   simd::AVector<double> y;
   simd::AVector<double> ls;
   simd::AVector<double> w;
-  simd::AVector<double> profile;
+  /// Support chunk c's sums: kept.size() support then kept.size() core.
+  std::vector<double> chunk_sums;
 };
 
-AscendScratch& ascend_scratch() {
-  thread_local AscendScratch scratch;
+MeanShiftEstimator::Scratch& MeanShiftEstimator::thread_scratch() {
+  thread_local Scratch scratch;
   return scratch;
 }
-
-}  // namespace
 
 MeanShiftEstimator::MeanShiftEstimator(const AreaBounds& bounds, MeanShiftConfig cfg,
                                        ThreadPool& pool)
@@ -80,55 +87,46 @@ std::vector<std::uint32_t> MeanShiftEstimator::select_seeds(
   return seeds;
 }
 
-MeanShiftEstimator::Mode MeanShiftEstimator::ascend(std::span<const Point2> positions,
-                                                    std::span<const double> log_strengths,
-                                                    std::span<const double> weights,
-                                                    Point2 seed_pos,
+MeanShiftEstimator::Mode MeanShiftEstimator::ascend(const Scratch& cloud, Point2 seed_pos,
                                                     double seed_log_strength) const {
   const double h2 = square(cfg_.bandwidth_xy);
   const double hs2 = square(cfg_.bandwidth_log_strength);
   const double radius = 3.0 * cfg_.bandwidth_xy;
+  const double r2 = radius * radius;
 
   Point2 x = seed_pos;
   double s = seed_log_strength;
   double density = 0.0;
   const bool gaussian = cfg_.kernel == KernelType::kGaussian;
   const simd::Kernels& ker = simd::kernels();
-  AscendScratch& sc = ascend_scratch();
+  alignas(32) double profile[kProfileBlock]{};
 
   for (std::size_t iter = 0; iter < cfg_.max_iterations; ++iter) {
-    // Gather the in-radius neighborhood into SoA slices, evaluate the
-    // kernel profile k_i = w_i * phi(e_i) as one batch, then reduce in
-    // gather order — the same neighbor order and accumulation order as the
-    // former per-neighbor loop, so the scalar tier is bit-identical.
-    sc.x.clear();
-    sc.y.clear();
-    sc.ls.clear();
-    sc.w.clear();
-    grid_.for_each_in_radius(positions, x, radius, [&](std::uint32_t i) {
-      const double w = weights[i];
-      if (w <= 0.0) return;
-      sc.x.push_back(positions[i].x);
-      sc.y.push_back(positions[i].y);
-      sc.ls.push_back(log_strengths[i]);
-      sc.w.push_back(w);
-    });
-    const std::size_t n = sc.x.size();
-    sc.profile.resize(n);
-    // Gaussian profile exp(-e), or the Epanechnikov profile 1 - e/4.5
-    // (parabola hitting zero at the same 3-sigma truncation edge).
-    ker.meanshift_profile(gaussian, x.x, x.y, s, h2, hs2, sc.x.data(), sc.y.data(),
-                          sc.ls.data(), sc.w.data(), sc.profile.data(), n);
+    // Every grid row the 3h square touches is one contiguous slot range.
+    // The profile k_i = w_i * phi(e_i) is exactly 0 outside the radius and
+    // at zero weight, so these sums equal those over the in-radius
+    // particles alone, accumulated in the same order (cell by cell,
+    // ascending index within a cell): the scalar tier is bit-identical to
+    // a per-neighbour gather.
     Point2 num_pos{0.0, 0.0};
     double num_s = 0.0;
     double denom = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const double k = sc.profile[j];
-      num_pos.x += k * sc.x[j];
-      num_pos.y += k * sc.y[j];
-      num_s += k * sc.ls[j];
-      denom += k;
-    }
+    grid_.for_each_row_span(cloud.layout, x, radius, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t b = begin; b < end; b += kProfileBlock) {
+        const std::size_t n = std::min(kProfileBlock, end - b);
+        // Gaussian profile exp(-e), or the Epanechnikov profile 1 - e/4.5
+        // (parabola hitting zero at the same 3-sigma truncation edge).
+        ker.meanshift_profile(gaussian, x.x, x.y, s, h2, hs2, r2, &cloud.x[b], &cloud.y[b],
+                              &cloud.ls[b], &cloud.w[b], profile, n);
+        for (std::size_t j = 0; j < n; ++j) {
+          const double k = profile[j];
+          num_pos.x += k * cloud.x[b + j];
+          num_pos.y += k * cloud.y[b + j];
+          num_s += k * cloud.ls[b + j];
+          denom += k;
+        }
+      }
+    });
     if (denom <= 0.0) return Mode{x, s, 0.0};  // seed stranded in empty space
 
     const Point2 new_pos = (1.0 / denom) * num_pos;
@@ -145,26 +143,37 @@ MeanShiftEstimator::Mode MeanShiftEstimator::ascend(std::span<const Point2> posi
 
 std::vector<SourceEstimate> MeanShiftEstimator::estimate(std::span<const Point2> positions,
                                                          std::span<const double> strengths,
-                                                         std::span<const double> weights) {
+                                                         std::span<const double> weights) const {
   require(positions.size() == strengths.size() && positions.size() == weights.size(),
           "positions/strengths/weights must have equal length");
   if (positions.empty()) return {};
   const double total_weight = std::accumulate(weights.begin(), weights.end(), 0.0);
   if (total_weight <= 0.0) return {};
 
-  grid_.rebuild(positions);
-
-  // log(strength) is re-read for every neighbor of every shift step; pay
-  // std::log once per particle up front (identical values — same libm call
-  // on the same inputs) and hand the ascents a precomputed array.
-  log_strengths_.resize(strengths.size());
-  for (std::size_t i = 0; i < strengths.size(); ++i) log_strengths_[i] = std::log(strengths[i]);
+  // Once per estimate, on the calling thread: copy the cloud into cell
+  // order, paying std::log once per particle (the same libm call on the
+  // same inputs as taking it per neighbour), then lend the copy to the
+  // ascents.
+  Scratch& sc = thread_scratch();
+  grid_.sort(positions, sc.layout);
+  const std::size_t np = positions.size();
+  sc.x.resize(np);
+  sc.y.resize(np);
+  sc.ls.resize(np);
+  sc.w.resize(np);
+  for (std::size_t k = 0; k < np; ++k) {
+    const std::uint32_t i = sc.layout.order[k];
+    sc.x[k] = positions[i].x;
+    sc.y[k] = positions[i].y;
+    sc.ls[k] = std::log(strengths[i]);
+    sc.w[k] = weights[i];
+  }
 
   const auto seeds = select_seeds(positions, weights);
   std::vector<Mode> modes(seeds.size());
   pool_->for_each_index(seeds.size(), [&](std::size_t k) {
     const auto i = seeds[k];
-    modes[k] = ascend(positions, log_strengths_, weights, positions[i], log_strengths_[i]);
+    modes[k] = ascend(sc, positions[i], std::log(strengths[i]));
   });
 
   // Merge converged points: keep the densest representative of each cluster.
@@ -185,27 +194,24 @@ std::vector<SourceEstimate> MeanShiftEstimator::estimate(std::span<const Point2>
   }
 
   // Basin support: each particle contributes its weight to the nearest mode
-  // within the kernel's reach (approximate basin assignment — exact basins
-  // would need a full ascent per particle). The O(particles x modes) scan is
-  // chunked over the pool with per-chunk accumulators merged serially; chunk
-  // boundaries are fixed (not per-thread), so the merged sums are
-  // bit-identical at any thread count.
+  // within max(merge radius, 2h) (approximate basin assignment — exact
+  // basins would need a full ascent per particle). The O(particles x modes)
+  // scan runs in index order, chunked over the pool with per-chunk sums in
+  // the caller's scratch merged serially; chunk boundaries are fixed (not
+  // per-thread), so the merged sums are bit-identical at any thread count.
   const double assign_radius2 = square(std::max(cfg_.merge_radius, 2.0 * cfg_.bandwidth_xy));
   const double core_radius2 = square(cfg_.bandwidth_xy);
-  std::vector<double> support(kept.size(), 0.0);
-  std::vector<double> core(kept.size(), 0.0);
+  const std::size_t nk = kept.size();
+  std::vector<double> support(nk, 0.0);
+  std::vector<double> core(nk, 0.0);
   if (!kept.empty()) {
-    constexpr std::size_t kChunk = 2048;
-    const std::size_t num_chunks = (positions.size() + kChunk - 1) / kChunk;
-    std::vector<std::vector<double>> chunk_support(num_chunks);
-    std::vector<std::vector<double>> chunk_core(num_chunks);
+    const std::size_t num_chunks = (np + kSupportChunk - 1) / kSupportChunk;
+    sc.chunk_sums.assign(num_chunks * 2 * nk, 0.0);
     pool_->for_each_index(num_chunks, [&](std::size_t c) {
-      auto& sup = chunk_support[c];
-      auto& cor = chunk_core[c];
-      sup.assign(kept.size(), 0.0);
-      cor.assign(kept.size(), 0.0);
-      const std::size_t begin = c * kChunk;
-      const std::size_t end = std::min(positions.size(), begin + kChunk);
+      double* sup = &sc.chunk_sums[c * 2 * nk];
+      double* cor = sup + nk;
+      const std::size_t begin = c * kSupportChunk;
+      const std::size_t end = std::min(np, begin + kSupportChunk);
       for (std::size_t i = begin; i < end; ++i) {
         if (weights[i] <= 0.0) continue;
         double best_d2 = assign_radius2;
@@ -224,9 +230,10 @@ std::vector<SourceEstimate> MeanShiftEstimator::estimate(std::span<const Point2>
       }
     });
     for (std::size_t c = 0; c < num_chunks; ++c) {
-      for (std::size_t k = 0; k < kept.size(); ++k) {
-        support[k] += chunk_support[c][k];
-        core[k] += chunk_core[c][k];
+      const double* sup = &sc.chunk_sums[c * 2 * nk];
+      for (std::size_t k = 0; k < nk; ++k) {
+        support[k] += sup[k];
+        core[k] += sup[nk + k];
       }
     }
   }

@@ -9,9 +9,10 @@
 // Feature space: (x, y, log strength). Log-strength makes the 4-1000 uCi
 // range scale-free under a single bandwidth (the paper leaves the strength
 // bandwidth unspecified). The kernel is a diagonal Gaussian truncated at
-// 3 sigma spatially, evaluated through a uniform grid index, so one shift
-// step costs O(local particles) instead of O(NP). Seeds are independent and
-// run in parallel on the thread pool.
+// 3 sigma spatially. Each estimate first sorts the cloud into the cells of a
+// uniform grid, so one shift step reads a few contiguous row ranges, O(local
+// particles) instead of O(NP). Seeds are independent and run in parallel on
+// the thread pool.
 #pragma once
 
 #include <cstddef>
@@ -68,9 +69,11 @@ class MeanShiftEstimator {
   /// Finds all modes of the weighted particle KDE. Spans must have equal
   /// length; weights must be non-negative. Returns estimates sorted by
   /// descending support. Empty input or all-zero weights yield no estimates.
+  /// Works in the calling thread's scratch, so concurrent calls from
+  /// different threads are safe; the pool's jobs only read it.
   [[nodiscard]] std::vector<SourceEstimate> estimate(std::span<const Point2> positions,
                                                      std::span<const double> strengths,
-                                                     std::span<const double> weights);
+                                                     std::span<const double> weights) const;
 
   [[nodiscard]] const MeanShiftConfig& config() const { return cfg_; }
 
@@ -89,17 +92,23 @@ class MeanShiftEstimator {
     double density = 0.0;
   };
 
-  /// Runs the mean-shift iteration x <- M(x) (Eq. 7) from one seed.
-  /// `log_strengths` holds log(strengths[i]), precomputed by estimate().
-  [[nodiscard]] Mode ascend(std::span<const Point2> positions,
-                            std::span<const double> log_strengths,
-                            std::span<const double> weights, Point2 seed_pos,
+  /// One estimate's working memory: the cloud in cell order and the
+  /// support pass's per-chunk sums. Nothing in it outlives an estimate, so
+  /// every estimator on a thread shares that thread's copy (meanshift.cpp).
+  struct Scratch;
+  /// The calling thread's Scratch. Fetched once per estimate by the thread
+  /// that runs it; ascent and support jobs on the pool work in the caller's
+  /// copy and never fetch their own.
+  static Scratch& thread_scratch();
+
+  /// Runs the mean-shift iteration x <- M(x) (Eq. 7) from one seed over the
+  /// cell-ordered cloud estimate() put in `cloud`.
+  [[nodiscard]] Mode ascend(const Scratch& cloud, Point2 seed_pos,
                             double seed_log_strength) const;
 
   MeanShiftConfig cfg_;
   ThreadPool* pool_;
-  GridIndex grid_;
-  std::vector<double> log_strengths_;  ///< estimate() scratch (see ascend)
+  GridIndex grid_;  ///< cell geometry only; the layout lives in Scratch
 };
 
 }  // namespace radloc

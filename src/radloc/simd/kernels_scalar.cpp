@@ -112,13 +112,18 @@ void exp_shifted(const double* v, double shift, double* out, std::size_t n) {
 }
 
 void meanshift_profile(bool gaussian, double cx, double cy, double s, double h2, double hs2,
-                       const double* x, const double* y, const double* log_strength,
+                       double r2, const double* x, const double* y, const double* log_strength,
                        const double* w, double* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     const double dx = x[i] - cx;
     const double dy = y[i] - cy;
+    const double d2 = dx * dx + dy * dy;
+    if (!(d2 <= r2 && w[i] > 0.0)) {
+      out[i] = 0.0;
+      continue;
+    }
     const double dls = log_strength[i] - s;
-    const double e = 0.5 * ((dx * dx + dy * dy) / h2 + dls * dls / hs2);
+    const double e = 0.5 * (d2 / h2 + dls * dls / hs2);
     out[i] = w[i] * (gaussian ? std::exp(-e) : std::max(0.0, 1.0 - e / 4.5));
   }
 }

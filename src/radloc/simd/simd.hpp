@@ -103,14 +103,18 @@ struct Kernels {
   /// `out` may fully alias `v` (renormalize in place).
   void (*exp_shifted)(const double* v, double shift, double* out, std::size_t n);
 
-  /// Mean-shift profile weights at center (cx, cy, s):
-  ///   e = 0.5*((x-cx)^2+(y-cy)^2)/h2 + (ls-s)^2/hs2) ... exact seed order:
-  ///   e = 0.5 * (d2 / h2 + (ls - s)^2 / hs2)
+  /// Mean-shift profile weights at center (cx, cy, s), truncated at the
+  /// squared spatial radius r2. With d2 = (x-cx)^2 + (y-cy)^2 (exact seed
+  /// order) and e = 0.5 * (d2 / h2 + (ls - s)^2 / hs2):
   ///   gaussian:     out[i] = w[i] * exp(-e)
   ///   epanechnikov: out[i] = w[i] * max(0, 1 - e/4.5)   (exact, all tiers)
+  /// except that a slot with d2 > r2 or w[i] <= 0 is exactly +0 in every
+  /// tier (the scalar tier skips its exp), so a caller may sum k_i * v_i
+  /// over a superset of the in-radius points and get the same sums.
   void (*meanshift_profile)(bool gaussian, double cx, double cy, double s, double h2, double hs2,
-                            const double* x, const double* y, const double* log_strength,
-                            const double* w, double* out, std::size_t n);
+                            double r2, const double* x, const double* y,
+                            const double* log_strength, const double* w, double* out,
+                            std::size_t n);
 };
 
 /// Best tier the host supports (cached after first call). Non-x86 builds

@@ -150,19 +150,34 @@ TEST_P(ChordProperties, AdditiveUnderSplitting) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChordProperties, ::testing::Values(1u, 2u, 3u));
 
+/// Radius query through the row walk: the indices of the slots the walk
+/// visits that lie within `r` of `c`, in visiting order.
+std::vector<std::uint32_t> row_walk_query(const GridIndex& index, const GridIndex::Layout& layout,
+                                          const std::vector<Point2>& pts, const Point2& c,
+                                          double r) {
+  std::vector<std::uint32_t> found;
+  index.for_each_row_span(layout, c, r, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t k = begin; k < end; ++k) {
+      const std::uint32_t i = layout.order[k];
+      if (distance2(pts[i], c) <= r * r) found.push_back(i);
+    }
+  });
+  return found;
+}
+
 TEST(GridIndex, FindsAllPointsInRadius) {
   Rng rng(99);
   const AreaBounds area = make_area(100, 100);
   std::vector<Point2> pts;
   for (int i = 0; i < 2000; ++i) pts.push_back(uniform_point(rng, area));
 
-  GridIndex index(area, 10.0);
-  index.rebuild(pts);
+  const GridIndex index(area, 10.0);
+  GridIndex::Layout layout;
+  index.sort(pts, layout);
 
   const Point2 center{40, 60};
   const double radius = 17.0;
-  std::vector<std::uint32_t> found;
-  index.query_radius(pts, center, radius, found);
+  std::vector<std::uint32_t> found = row_walk_query(index, layout, pts, center, radius);
 
   std::vector<std::uint32_t> expected;
   for (std::uint32_t i = 0; i < pts.size(); ++i) {
@@ -175,27 +190,28 @@ TEST(GridIndex, FindsAllPointsInRadius) {
 TEST(GridIndex, HandlesPointsOutsideBounds) {
   const AreaBounds area = make_area(10, 10);
   std::vector<Point2> pts{{-5, -5}, {15, 15}, {5, 5}};
-  GridIndex index(area, 2.0);
-  index.rebuild(pts);
-  std::vector<std::uint32_t> found;
-  index.query_radius(pts, {-5, -5}, 1.0, found);
-  EXPECT_EQ(found, (std::vector<std::uint32_t>{0}));
+  const GridIndex index(area, 2.0);
+  GridIndex::Layout layout;
+  index.sort(pts, layout);
+  EXPECT_EQ(row_walk_query(index, layout, pts, {-5, -5}, 1.0), (std::vector<std::uint32_t>{0}));
 }
 
 TEST(GridIndex, EmptyAndRebuild) {
   const AreaBounds area = make_area(10, 10);
-  GridIndex index(area, 1.0);
-  index.rebuild({});
-  EXPECT_EQ(index.size(), 0u);
-  std::vector<std::uint32_t> found;
-  index.query_radius({}, {5, 5}, 100.0, found);
-  EXPECT_TRUE(found.empty());
+  const GridIndex index(area, 1.0);
+  GridIndex::Layout layout;
+  index.sort({}, layout);
+  EXPECT_TRUE(layout.order.empty());
+  ASSERT_EQ(layout.cell_start.size(), index.cell_count() + 1);
+  EXPECT_EQ(layout.cell_start.back(), 0u);
+  EXPECT_TRUE(row_walk_query(index, layout, {}, {5, 5}, 100.0).empty());
 
+  // Sorting a new set into the same layout reuses it.
   const std::vector<Point2> pts{{1, 1}, {9, 9}};
-  index.rebuild(pts);
-  EXPECT_EQ(index.size(), 2u);
-  index.query_radius(pts, {0, 0}, 2.0, found);
-  EXPECT_EQ(found.size(), 1u);
+  index.sort(pts, layout);
+  EXPECT_EQ(layout.order.size(), 2u);
+  EXPECT_EQ(layout.cell_start.back(), 2u);
+  EXPECT_EQ(row_walk_query(index, layout, pts, {0, 0}, 2.0).size(), 1u);
 }
 
 TEST(GridIndex, UpdateRejectsMisuse) {

@@ -2,11 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <thread>
 #include <vector>
 
 #include "radloc/concurrency/thread_pool.hpp"
+#include "radloc/eval/scenarios.hpp"
 #include "radloc/meanshift/meanshift.hpp"
 #include "radloc/rng/distributions.hpp"
+#include "radloc/simd/simd.hpp"
 
 namespace radloc {
 namespace {
@@ -214,6 +219,156 @@ TEST(MeanShift, SupportSumsToAtMostOne) {
   for (const auto& m : modes) total += m.support;
   EXPECT_LE(total, 1.0 + 1e-9);
   EXPECT_GT(total, 0.8);  // most mass is in the two basins
+}
+
+/// A fixed posterior-shaped cloud over `sc`'s area: 70% of the particles
+/// in triangular clusters (+-6 units) around the scenario's sources with
+/// strengths scattered +-0.3 in log space, 30% spread uniformly with
+/// strengths log-uniform over 1-1000 uCi; positions clamped into the area,
+/// so cluster edges land on its border. Weights are uniform in [0, 1) with
+/// every 11th zero. Only uniform draws, so the cloud depends on Rng alone.
+Cloud make_fixed_cloud(const Scenario& sc, std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  const AreaBounds& b = sc.env.bounds();
+  Cloud c;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (uniform01(rng) < 0.3) {
+      c.positions.push_back({uniform(rng, b.min.x, b.max.x), uniform(rng, b.min.y, b.max.y)});
+      c.strengths.push_back(std::exp(uniform(rng, 0.0, std::log(1000.0))));
+    } else {
+      const Source& src = sc.sources[uniform_index(rng, sc.sources.size())];
+      const double dx = uniform(rng, -3.0, 3.0) + uniform(rng, -3.0, 3.0);
+      const double dy = uniform(rng, -3.0, 3.0) + uniform(rng, -3.0, 3.0);
+      c.positions.push_back(b.clamp({src.pos.x + dx, src.pos.y + dy}));
+      c.strengths.push_back(src.strength * std::exp(uniform(rng, -0.3, 0.3)));
+    }
+    c.weights.push_back(i % 11 == 0 ? 0.0 : uniform01(rng));
+  }
+  return c;
+}
+
+/// FNV-1a over the bits of every estimate field, count first.
+std::uint64_t hash_estimates(const std::vector<SourceEstimate>& estimates) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&](const void* p, std::size_t n) {
+    const auto* bytes = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= bytes[i];
+      h *= 0x100000001b3ULL;
+    }
+  };
+  const std::uint64_t count = estimates.size();
+  mix(&count, sizeof(count));
+  for (const auto& e : estimates) {
+    for (const double v : {e.pos.x, e.pos.y, e.strength, e.support}) mix(&v, sizeof(v));
+  }
+  return h;
+}
+
+/// Pins the scalar tier for a test's lifetime.
+struct ScalarTier {
+  ScalarTier() { simd::force_tier(simd::Tier::kScalar); }
+  ~ScalarTier() { simd::reset_tier(); }
+  ScalarTier(const ScalarTier&) = delete;
+  ScalarTier& operator=(const ScalarTier&) = delete;
+};
+
+struct GoldenCase {
+  const char* name;
+  Scenario sc;
+  std::size_t particles;
+  std::uint64_t seed;
+  KernelType kernel;
+  std::uint64_t golden;
+};
+
+std::vector<GoldenCase> golden_cases() {
+  const Scenario a = make_scenario_a(10.0);
+  const Scenario a3u = make_scenario_a3(10.0, 5.0, /*with_obstacle=*/true);
+  const Scenario c = make_scenario_c();
+  return {
+      {"A/1", a, 2000, 1, KernelType::kGaussian, 0x56ebcfa67aaf3c2fULL},
+      {"A/2", a, 2000, 2, KernelType::kGaussian, 0x5fa76de85a8234f8ULL},
+      {"A3+U/1", a3u, 2000, 1, KernelType::kGaussian, 0x72b84cc08bd67248ULL},
+      {"A3+U/2", a3u, 2000, 2, KernelType::kGaussian, 0x936662a17b66d32bULL},
+      {"C/1", c, 15000, 1, KernelType::kGaussian, 0xf00c49b227a07cb5ULL},
+      {"C/2", c, 15000, 2, KernelType::kGaussian, 0xd1302d6bb099cfd0ULL},
+      {"A/1 epanechnikov", a, 2000, 1, KernelType::kEpanechnikov, 0x9b338fb65737d16fULL},
+  };
+}
+
+TEST(MeanShiftGolden, ScalarTierOutputMatchesGolden) {
+  // Mean-shift output on fixed clouds, bit for bit, at the scalar tier, at
+  // one and at four threads. The hashes were captured from the estimator
+  // that gathered each ascent's neighbours one at a time through a grid
+  // radius query, before the climb moved onto a cell-ordered copy.
+  const ScalarTier scalar;
+  ThreadPool serial(1);
+  ThreadPool parallel(4, /*max_fanout=*/4);
+  for (const GoldenCase& gc : golden_cases()) {
+    const Cloud cloud = make_fixed_cloud(gc.sc, gc.particles, gc.seed);
+    MeanShiftConfig cfg;
+    cfg.kernel = gc.kernel;
+    MeanShiftEstimator est_s(gc.sc.env.bounds(), cfg, serial);
+    MeanShiftEstimator est_p(gc.sc.env.bounds(), cfg, parallel);
+    const auto modes = est_s.estimate(cloud.positions, cloud.strengths, cloud.weights);
+    EXPECT_GE(modes.size(), 1u) << gc.name;
+    const std::uint64_t h = hash_estimates(modes);
+    EXPECT_EQ(h, gc.golden) << gc.name << ": 0x" << std::hex << h;
+    EXPECT_EQ(hash_estimates(est_p.estimate(cloud.positions, cloud.strengths, cloud.weights)), h)
+        << gc.name;
+  }
+}
+
+/// One estimator and the cloud it runs on, with its solo answer.
+struct ShapedEstimate {
+  Scenario sc;
+  Cloud cloud;
+  ThreadPool pool{1};
+  MeanShiftEstimator est;
+
+  ShapedEstimate(Scenario scenario, std::size_t particles, std::uint64_t seed)
+      : sc(std::move(scenario)),
+        cloud(make_fixed_cloud(sc, particles, seed)),
+        est(sc.env.bounds(), MeanShiftConfig{}, pool) {}
+
+  std::uint64_t run() { return hash_estimates(est.estimate(cloud.positions, cloud.strengths, cloud.weights)); }
+};
+
+TEST(MeanShiftScratch, InterleavedEstimatorsOfDifferentShapesMatchSoloRuns) {
+  // Estimators over different areas (400 vs 2704 grid cells) and particle
+  // counts share one thread's scratch.
+  ShapedEstimate a(make_scenario_a(10.0), 2000, 3);
+  ShapedEstimate c(make_scenario_c(), 15000, 4);
+  ShapedEstimate a_solo(make_scenario_a(10.0), 2000, 3);
+  ShapedEstimate c_solo(make_scenario_c(), 15000, 4);
+  const std::uint64_t ha = a_solo.run();
+  const std::uint64_t hc = c_solo.run();
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_EQ(c.run(), hc) << round;
+    EXPECT_EQ(a.run(), ha) << round;
+  }
+}
+
+TEST(MeanShiftScratch, EstimatorsOnTwoThreadsMatchSoloRuns) {
+  ShapedEstimate a(make_scenario_a(10.0), 2000, 3);
+  ShapedEstimate c(make_scenario_c(), 15000, 4);
+  const std::uint64_t ha = a.run();
+  const std::uint64_t hc = c.run();
+  std::vector<std::uint64_t> got_a;
+  std::vector<std::uint64_t> got_c;
+  {
+    std::thread ta([&] {
+      for (int round = 0; round < 4; ++round) got_a.push_back(a.run());
+    });
+    std::thread tc([&] {
+      for (int round = 0; round < 2; ++round) got_c.push_back(c.run());
+    });
+    ta.join();
+    tc.join();
+  }
+  for (const std::uint64_t h : got_a) EXPECT_EQ(h, ha);
+  for (const std::uint64_t h : got_c) EXPECT_EQ(h, hc);
 }
 
 }  // namespace

@@ -550,6 +550,7 @@ TEST(SimdMeanShift, GaussianParityAndEpanechnikovExactAcrossTiers) {
   const double cs = std::log(50.0);
   const double h2 = 25.0;
   const double hs2 = 0.5625;
+  const double r2 = 9.0 * h2;  // the 3h truncation radius
   for (const std::size_t n : kSizes) {
     Rng rng(909 + n);
     std::vector<double> x(n);
@@ -557,38 +558,56 @@ TEST(SimdMeanShift, GaussianParityAndEpanechnikovExactAcrossTiers) {
     std::vector<double> ls(n);
     std::vector<double> w(n);
     for (std::size_t i = 0; i < n; ++i) {
+      // The square [5, 35] x [15, 45] reaches past the radius in its corners.
       x[i] = uniform(rng, 5.0, 35.0);
       y[i] = uniform(rng, 15.0, 45.0);
       ls[i] = uniform(rng, std::log(1.0), std::log(1000.0));
       w[i] = uniform01(rng);
+      switch (i % 9) {
+        case 2: w[i] = 0.0; break;                 // zero weight
+        case 5: w[i] = -0.0; break;                // negative zero
+        case 7: x[i] = 1e4; break;                 // far out: e >= 708
+        case 8: ls[i] = 60.0; break;               // in reach of the patch path
+        default: break;
+      }
     }
     for (const bool gaussian : {true, false}) {
       std::vector<double> want(n);
+      std::size_t zeroed = 0;
       for (std::size_t i = 0; i < n; ++i) {
         const double dx = x[i] - cx;
         const double dy = y[i] - cy;
         const double dls = ls[i] - cs;
+        if (dx * dx + dy * dy > r2 || w[i] <= 0.0) {
+          want[i] = 0.0;
+          ++zeroed;
+          continue;
+        }
         const double e = 0.5 * ((dx * dx + dy * dy) / h2 + dls * dls / hs2);
         want[i] = gaussian ? w[i] * std::exp(-e) : w[i] * std::max(0.0, 1.0 - e / 4.5);
       }
-      // Scalar tier: seed expression bit for bit.
-      std::vector<double> scalar_out(n);
+      if (n >= 9) {
+        ASSERT_GT(zeroed, 0u);
+      }
+      // Scalar tier: seed expression bit for bit, exact +0 outside.
+      std::vector<double> scalar_out(n, kNan);
       simd::kernels_for(simd::Tier::kScalar)
-          .meanshift_profile(gaussian, cx, cy, cs, h2, hs2, x.data(), y.data(), ls.data(),
+          .meanshift_profile(gaussian, cx, cy, cs, h2, hs2, r2, x.data(), y.data(), ls.data(),
                              w.data(), scalar_out.data(), n);
       for (std::size_t i = 0; i < n; ++i) {
         ASSERT_TRUE(same_bits(scalar_out[i], want[i])) << "gaussian=" << gaussian << " i=" << i;
       }
       for (const auto t : host_tiers()) {
         std::vector<double> got(n, kNan);
-        simd::kernels_for(t).meanshift_profile(gaussian, cx, cy, cs, h2, hs2, x.data(), y.data(),
-                                               ls.data(), w.data(), got.data(), n);
+        simd::kernels_for(t).meanshift_profile(gaussian, cx, cy, cs, h2, hs2, r2, x.data(),
+                                               y.data(), ls.data(), w.data(), got.data(), n);
         for (std::size_t i = 0; i < n; ++i) {
-          if (gaussian) {
+          if (gaussian && !same_bits(want[i], 0.0)) {
             ASSERT_NEAR(got[i], want[i], 1e-13 * (want[i] + 1.0))
                 << simd::tier_name(t) << " n=" << n << " i=" << i;
           } else {
-            // Epanechnikov is exact arithmetic in every tier.
+            // Epanechnikov is exact arithmetic in every tier, and a slot
+            // outside the radius or without weight is +0 in every tier.
             ASSERT_TRUE(same_bits(got[i], want[i])) << simd::tier_name(t) << " i=" << i;
           }
         }

@@ -157,10 +157,39 @@ TEST(StressGeometry, PathologicalObstacleGeometryKeepsTransmissionPhysical) {
   }
 }
 
-void expect_matches_brute_force(const GridIndex& index, const std::vector<Point2>& points,
-                                const Point2& center, double radius) {
+/// Checks that `layout` is `points` in cell order: a permutation whose slots
+/// never go back to an earlier cell, ascending in index within a cell.
+void expect_cell_ordered(const GridIndex& index, const GridIndex::Layout& layout,
+                         const std::vector<Point2>& points) {
+  ASSERT_EQ(layout.cell_start.size(), index.cell_count() + 1);
+  ASSERT_EQ(layout.cell_start.back(), points.size());
+  std::vector<std::uint32_t> sorted = layout.order;
+  std::sort(sorted.begin(), sorted.end());
+  for (std::uint32_t i = 0; i < sorted.size(); ++i) ASSERT_EQ(sorted[i], i);
+  for (std::size_t c = 0; c < index.cell_count(); ++c) {
+    ASSERT_LE(layout.cell_start[c], layout.cell_start[c + 1]);
+    for (std::size_t k = layout.cell_start[c]; k < layout.cell_start[c + 1]; ++k) {
+      ASSERT_EQ(layout.cell[layout.order[k]], c) << "slot " << k;
+      if (k > layout.cell_start[c]) {
+        ASSERT_LT(layout.order[k - 1], layout.order[k]);
+      }
+    }
+  }
+}
+
+/// The row walk around `center`, filtered to `radius`, finds exactly the
+/// brute-force index set, each index once.
+void expect_matches_brute_force(const GridIndex& index, const GridIndex::Layout& layout,
+                                const std::vector<Point2>& points, const Point2& center,
+                                double radius) {
   std::vector<std::uint32_t> got;
-  index.query_radius(points, center, radius, got);
+  index.for_each_row_span(layout, center, radius, [&](std::size_t begin, std::size_t end) {
+    ASSERT_LE(begin, end);
+    for (std::size_t k = begin; k < end; ++k) {
+      const std::uint32_t i = layout.order[k];
+      if (distance2(points[i], center) <= radius * radius) got.push_back(i);
+    }
+  });
   std::sort(got.begin(), got.end());
 
   std::vector<std::uint32_t> want;
@@ -184,48 +213,49 @@ TEST(StressGeometry, GridIndexMatchesBruteForceAcrossSeedsAndRadii) {
     points.push_back({0.0, 100.0});
     points.push_back({50.0, 0.0});
 
-    GridIndex index(area, 7.0);
-    index.rebuild(points);
-    ASSERT_EQ(index.size(), points.size());
+    const GridIndex index(area, 7.0);
+    GridIndex::Layout layout;
+    index.sort(points, layout);
+    expect_cell_ordered(index, layout, points);
 
     for (const double radius : {0.0, 0.5, 7.0, 33.0, 1000.0}) {
       // Centers inside, on the boundary, and far outside the area.
-      expect_matches_brute_force(index, points, uniform_point(rng, area), radius);
-      expect_matches_brute_force(index, points, {0.0, 0.0}, radius);
-      expect_matches_brute_force(index, points, {100.0, 50.0}, radius);
-      expect_matches_brute_force(index, points, {250.0, -80.0}, radius);
+      expect_matches_brute_force(index, layout, points, uniform_point(rng, area), radius);
+      expect_matches_brute_force(index, layout, points, {0.0, 0.0}, radius);
+      expect_matches_brute_force(index, layout, points, {100.0, 50.0}, radius);
+      expect_matches_brute_force(index, layout, points, {250.0, -80.0}, radius);
     }
   }
 }
 
 TEST(StressGeometry, GridIndexSurvivesRebuildChurnAndDegenerateSets) {
   const AreaBounds area = make_area(100.0, 100.0);
-  GridIndex index(area, 5.0);
+  const GridIndex index(area, 5.0);
+  GridIndex::Layout layout;
   Rng rng(29);
-  std::vector<std::uint32_t> out;
 
   // Empty set: no matches anywhere.
   std::vector<Point2> points;
-  index.rebuild(points);
-  index.query_radius(points, {50.0, 50.0}, 1000.0, out);
-  EXPECT_TRUE(out.empty());
+  index.sort(points, layout);
+  expect_cell_ordered(index, layout, points);
+  expect_matches_brute_force(index, layout, points, {50.0, 50.0}, 1000.0);
 
   // Every point identical: all or nothing depending on radius.
   points.assign(137, Point2{42.0, 42.0});
-  index.rebuild(points);
-  index.query_radius(points, {42.0, 42.0}, 0.0, out);
-  EXPECT_EQ(out.size(), 137u);
-  index.query_radius(points, {43.0, 42.0}, 0.5, out);
-  EXPECT_TRUE(out.empty());
+  index.sort(points, layout);
+  expect_cell_ordered(index, layout, points);
+  expect_matches_brute_force(index, layout, points, {42.0, 42.0}, 0.0);
+  expect_matches_brute_force(index, layout, points, {43.0, 42.0}, 0.5);
 
-  // Rebuild churn with wildly varying sizes; brute-force parity each time.
+  // Re-sort churn with wildly varying sizes into one layout; brute-force
+  // parity each time.
   for (int round = 0; round < 12; ++round) {
     const std::size_t n = uniform_index(rng, 300);
     points.clear();
     for (std::size_t i = 0; i < n; ++i) points.push_back(uniform_point(rng, area));
-    index.rebuild(points);
-    ASSERT_EQ(index.size(), n);
-    expect_matches_brute_force(index, points, uniform_point(rng, area), 12.0);
+    index.sort(points, layout);
+    expect_cell_ordered(index, layout, points);
+    expect_matches_brute_force(index, layout, points, uniform_point(rng, area), 12.0);
   }
 }
 

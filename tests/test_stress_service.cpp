@@ -189,12 +189,21 @@ TEST_P(StressService, ConcurrentMultiplexBitIdenticalToSerialReplay) {
 
   // Producers own disjoint session subsets (per-session arrival order is
   // the feed contract); the main thread drains concurrently, so ingest,
-  // drain scheduling, filter work, and stats reads all overlap. Each
-  // producer records what its sessions queued; the main thread, the only
-  // drainer, records each session's drain batches.
+  // drain scheduling, filter work, and stats reads all overlap, and a query
+  // thread asks random sessions for estimates throughout (memo hits and
+  // misses beside drains). Each producer records what its sessions queued;
+  // the main thread, the only drainer, records each session's drain
+  // batches.
   std::vector<std::vector<Measurement>> queued(kSessions);
   std::vector<std::vector<std::size_t>> drains(kSessions);
   std::atomic<std::size_t> producers_done{0};
+  std::atomic<bool> querying{true};
+  std::thread query([&] {
+    Rng pick(master_seed ^ 0x0E57ULL);
+    do {
+      (void)mgr.estimate(ids[uniform_index(pick, kSessions)]);
+    } while (querying.load());
+  });
   std::vector<std::thread> producers;
   for (std::size_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
@@ -217,6 +226,8 @@ TEST_P(StressService, ConcurrentMultiplexBitIdenticalToSerialReplay) {
   for (auto& t : producers) t.join();
   mgr.drain_all();
   for (std::size_t k = 0; k < kSessions; ++k) note_drain(drains[k], mgr.stats(ids[k]).processed);
+  querying.store(false);
+  query.join();
 
   for (std::size_t k = 0; k < kSessions; ++k) {
     const SessionScript& script = scripts[k];
