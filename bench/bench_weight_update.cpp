@@ -1,10 +1,12 @@
-// Weight-update hot-path throughput (particles/sec), for
-// {free-space, obstacles} x {1, 4 threads} x {transmission cache off/on},
-// against a faithful re-creation of the seed repo's serial kernel
-// (per-particle lgamma, per-obstacle chord_length with no hoisted AABB
-// sweep).
+// Weight-update hot-path throughput (particles/sec) on Scenario A, NP 15000:
+// the per-particle likelihood loop for {free space, obstacles} x
+// {transmission cache off/on} (BM_WeightUpdate: the only measurement of
+// exact versus cached obstacle scoring), and, per SIMD tier, one batched
+// Poisson pass (BM_PoissonBatch) and the filter's batched scoring pipeline
+// (BM_WeightUpdateBatched). Every row runs on one thread, as a reading does,
+// and names its tier in its config.
 //
-// The measured kernel is exactly the likelihood stage of
+// The measured kernels are the likelihood stage of
 // FusionParticleFilter::process_reading: score every particle of a fusion-
 // range subset against one measurement. Selection/resampling costs are
 // excluded here (bench_table1_runtime measures the end-to-end iteration).
@@ -16,20 +18,17 @@
 // time per benchmark for the benchsmoke ctest entry.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
 #include <map>
-#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "radloc/common/math.hpp"
-#include "radloc/concurrency/thread_pool.hpp"
 #include "radloc/eval/scenarios.hpp"
-#include "radloc/geom/intersect.hpp"
 #include "radloc/radiation/intensity_model.hpp"
 #include "radloc/radiation/transmission_cache.hpp"
 #include "radloc/rng/distributions.hpp"
@@ -77,104 +76,14 @@ Cloud make_cloud(bool obstacles) {
   return c;
 }
 
-// --- Verbatim re-creations of the seed repo's geometry hot path, so the
-// --- baseline keeps paying the costs this PR removed (two divisions per
-// --- edge test, a heap-allocated crossing buffer per chord call, and no
-// --- hoisted AABB sweep).
-
-std::optional<double> seed_intersection_param(const Segment& s1, const Segment& s2) {
-  constexpr double kEps = 1e-12;
-  const Vec2 d1 = s1.b - s1.a;
-  const Vec2 d2 = s2.b - s2.a;
-  const double denom = cross(d1, d2);
-  if (std::abs(denom) < kEps) return std::nullopt;
-  const Vec2 w = s2.a - s1.a;
-  const double t = cross(w, d2) / denom;
-  const double u = cross(w, d1) / denom;
-  if (t < -kEps || t > 1.0 + kEps || u < -kEps || u > 1.0 + kEps) return std::nullopt;
-  return std::clamp(t, 0.0, 1.0);
-}
-
-double seed_chord_length(const Segment& seg, const Polygon& poly) {
-  constexpr double kEps = 1e-12;
-  if (!aabb_overlaps_segment(poly.aabb(), seg)) return 0.0;
-  std::vector<double> ts;
-  ts.reserve(poly.size() + 2);
-  ts.push_back(0.0);
-  ts.push_back(1.0);
-  for (std::size_t i = 0; i < poly.size(); ++i) {
-    if (const auto t = seed_intersection_param(seg, poly.edge(i))) ts.push_back(*t);
-  }
-  std::sort(ts.begin(), ts.end());
-  const double seg_len = seg.length();
-  double inside_len = 0.0;
-  for (std::size_t i = 0; i + 1 < ts.size(); ++i) {
-    const double t0 = ts[i];
-    const double t1 = ts[i + 1];
-    if (t1 - t0 < kEps) continue;
-    if (poly.contains(seg.at(0.5 * (t0 + t1)))) inside_len += (t1 - t0) * seg_len;
-  }
-  return inside_len;
-}
-
-double seed_path_attenuation(const Segment& seg, const std::vector<Obstacle>& obstacles) {
-  double acc = 0.0;
-  for (const auto& o : obstacles) {
-    const double l = seed_chord_length(seg, o.shape());
-    if (l > 0.0) acc += o.mu() * l;
-  }
-  return acc;
-}
-
-/// The seed's serial weight loop: poisson_log_pmf pays lgamma(cpm) per
-/// particle.
-void BM_WeightUpdateSeed(benchmark::State& state) {
-  const bool obstacles = state.range(0) != 0;
+/// The per-particle scoring loop, serial: hoisted PoissonLogPmf, AABB-swept
+/// path_attenuation (cache off) or the per-sensor transmission cache's
+/// bilinear lookup (cache on). These are the scalar expressions the filter's
+/// exact-geometry path evaluates (its Poisson pass then goes through the
+/// active tier's kernel), so the rows name the scalar tier.
+void BM_WeightUpdate(benchmark::State& state, bool obstacles, bool cache_on) {
   const Cloud c = make_cloud(obstacles);
 
-  std::size_t sensor = 0;
-  std::size_t scored = 0;
-  std::vector<double> lls(kParticles);
-  const auto t0 = std::chrono::steady_clock::now();
-  for (auto _ : state) {
-    const Sensor& s = c.scenario.sensors[sensor];
-    const auto& subset = c.subsets[sensor];
-    const double cpm = c.readings[sensor];
-    for (std::size_t k = 0; k < subset.size(); ++k) {
-      const auto i = subset[k];
-      const Source hyp{c.positions[i], c.strengths[i]};
-      double rate;
-      if (obstacles) {
-        const double a = seed_path_attenuation(Segment{s.pos, hyp.pos},
-                                               c.scenario.env.obstacles());
-        rate = kMicroCurieToCpm * s.response.efficiency * free_space_intensity(s.pos, hyp) *
-                   (a > 0.0 ? std::exp(-a) : 1.0) +
-               s.response.background_cpm;
-      } else {
-        rate = expected_cpm_single_free_space(s.pos, hyp, s.response);
-      }
-      lls[k] = poisson_log_pmf(cpm, rate);
-    }
-    benchmark::DoNotOptimize(lls.data());
-    scored += subset.size();
-    sensor = (sensor + 1) % c.scenario.sensors.size();
-  }
-  // Wall-clock rate (not google-benchmark's CPU-time rate): comparable
-  // across thread counts.
-  const double secs = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  state.counters["particles_per_sec"] =
-      benchmark::Counter(secs > 0.0 ? static_cast<double>(scored) / secs : 0.0);
-}
-
-/// This PR's kernel: hoisted PoissonLogPmf, AABB-swept path_attenuation,
-/// optional per-sensor transmission cache, chunked over the thread pool.
-void BM_WeightUpdate(benchmark::State& state) {
-  const bool obstacles = state.range(0) != 0;
-  const auto threads = static_cast<std::size_t>(state.range(1));
-  const bool cache_on = state.range(2) != 0;
-  const Cloud c = make_cloud(obstacles);
-
-  ThreadPool pool(threads);
   TransmissionCache cache(c.scenario.env, 2.0);
 
   std::size_t sensor = 0;
@@ -187,27 +96,26 @@ void BM_WeightUpdate(benchmark::State& state) {
     const TransmissionCache::Field* field =
         obstacles && cache_on ? cache.prepare(s.pos) : nullptr;
     const PoissonLogPmf log_pmf(c.readings[sensor]);
-    pool.parallel_for(subset.size(), [&](std::size_t begin, std::size_t end) {
-      for (std::size_t k = begin; k < end; ++k) {
-        const auto i = subset[k];
-        const Source hyp{c.positions[i], c.strengths[i]};
-        double rate;
-        if (!obstacles) {
-          rate = expected_cpm_single_free_space(s.pos, hyp, s.response);
-        } else if (field != nullptr) {
-          rate = kMicroCurieToCpm * s.response.efficiency * free_space_intensity(s.pos, hyp) *
-                     cache.transmission(*field, hyp.pos) +
-                 s.response.background_cpm;
-        } else {
-          rate = expected_cpm_single(s.pos, hyp, c.scenario.env, s.response);
-        }
-        lls[k] = log_pmf(rate);
+    for (std::size_t k = 0; k < subset.size(); ++k) {
+      const auto i = subset[k];
+      const Source hyp{c.positions[i], c.strengths[i]};
+      double rate;
+      if (!obstacles) {
+        rate = expected_cpm_single_free_space(s.pos, hyp, s.response);
+      } else if (field != nullptr) {
+        rate = kMicroCurieToCpm * s.response.efficiency * free_space_intensity(s.pos, hyp) *
+                   cache.transmission(*field, hyp.pos) +
+               s.response.background_cpm;
+      } else {
+        rate = expected_cpm_single(s.pos, hyp, c.scenario.env, s.response);
       }
-    });
+      lls[k] = log_pmf(rate);
+    }
     benchmark::DoNotOptimize(lls.data());
     scored += subset.size();
     sensor = (sensor + 1) % c.scenario.sensors.size();
   }
+  // Wall-clock rate, like every row here.
   const double secs = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   state.counters["particles_per_sec"] =
       benchmark::Counter(secs > 0.0 ? static_cast<double>(scored) / secs : 0.0);
@@ -246,7 +154,7 @@ void BM_PoissonBatch(benchmark::State& state, simd::Tier tier) {
 /// The filter's full batched scoring pipeline per tier: SoA gather, then
 /// hypothesis rates (with gathered bilinear transmissions when obstacles are
 /// cached), then the batch Poisson — exactly process_reading_impl's batched
-/// path, serial, isolating the kernel tier from thread scaling.
+/// path.
 void BM_WeightUpdateBatched(benchmark::State& state, bool obstacles, simd::Tier tier) {
   const Cloud c = make_cloud(obstacles);
   const simd::Kernels& ker = simd::kernels_for(tier);
@@ -292,7 +200,7 @@ void BM_WeightUpdateBatched(benchmark::State& state, bool obstacles, simd::Tier 
 }
 
 /// Console reporter that records particles_per_sec per benchmark so the main
-/// can print seed-vs-new speedups after the run.
+/// can print the speedup summary after the run.
 class SpeedupReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& runs) override {
@@ -318,19 +226,9 @@ void print_speedups(const std::map<std::string, double>& rates) {
       std::printf("SPEEDUP %-44s %.2fx\n", label, a / b);
     }
   };
-  std::printf("\n--- weight-update speedups vs seed serial kernel ---\n");
-  report("free-space, 1 thread", "BM_WeightUpdate/obstacles:0/threads:1/cache:0",
-         "BM_WeightUpdateSeed/obstacles:0");
-  report("free-space, 4 threads", "BM_WeightUpdate/obstacles:0/threads:4/cache:0",
-         "BM_WeightUpdateSeed/obstacles:0");
-  report("obstacles, 1 thread, cache off", "BM_WeightUpdate/obstacles:1/threads:1/cache:0",
-         "BM_WeightUpdateSeed/obstacles:1");
-  report("obstacles, 4 threads, cache off", "BM_WeightUpdate/obstacles:1/threads:4/cache:0",
-         "BM_WeightUpdateSeed/obstacles:1");
-  report("obstacles, 1 thread, cache on", "BM_WeightUpdate/obstacles:1/threads:1/cache:1",
-         "BM_WeightUpdateSeed/obstacles:1");
-  report("obstacles, 4 threads, cache on", "BM_WeightUpdate/obstacles:1/threads:4/cache:1",
-         "BM_WeightUpdateSeed/obstacles:1");
+  std::printf("\n--- obstacle scoring, transmission cache on vs off ---\n");
+  report("obstacles, cache on vs off", "BM_WeightUpdate/obstacles:1/cache:1/simd:scalar",
+         "BM_WeightUpdate/obstacles:1/cache:0/simd:scalar");
 
   // Tier sweep (rows exist only for tiers the host ran — RADLOC_SIMD pins).
   std::printf("\n--- simd kernel tiers vs scalar tier ---\n");
@@ -345,28 +243,9 @@ void print_speedups(const std::map<std::string, double>& rates) {
            "BM_WeightUpdateBatched/obstacles:1/" + suffix,
            "BM_WeightUpdateBatched/obstacles:1/simd:scalar");
   }
-  report("batched scoring vs seed serial, free space",
-         std::string("BM_WeightUpdateBatched/obstacles:0/simd:") +
-             simd::tier_name(simd::detected_tier()),
-         "BM_WeightUpdateSeed/obstacles:0");
-  report("batched scoring vs seed serial, obstacles",
-         std::string("BM_WeightUpdateBatched/obstacles:1/simd:") +
-             simd::tier_name(simd::detected_tier()),
-         "BM_WeightUpdateSeed/obstacles:1");
 }
 
 }  // namespace
-
-BENCHMARK(BM_WeightUpdateSeed)->ArgNames({"obstacles"})->Arg(0)->Arg(1);
-
-BENCHMARK(BM_WeightUpdate)
-    ->ArgNames({"obstacles", "threads", "cache"})
-    ->Args({0, 1, 0})
-    ->Args({0, 4, 0})
-    ->Args({1, 1, 0})
-    ->Args({1, 4, 0})
-    ->Args({1, 1, 1})
-    ->Args({1, 4, 1});
 
 int main(int argc, char** argv) {
   // --smoke is ours, everything else goes to google-benchmark.
@@ -394,9 +273,18 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc2, args.data());
   if (benchmark::ReportUnrecognizedArguments(argc2, args.data())) return 1;
 
+  // Every row's name, and so its JSON `config`, ends in the tier it ran.
+  for (const auto& [obstacles, cache_on] :
+       {std::pair{false, false}, std::pair{true, false}, std::pair{true, true}}) {
+    const std::string name = std::string("BM_WeightUpdate/obstacles:") + (obstacles ? "1" : "0") +
+                             "/cache:" + (cache_on ? "1" : "0") + "/simd:scalar";
+    benchmark::RegisterBenchmark(name.c_str(), [obstacles, cache_on](benchmark::State& s) {
+      BM_WeightUpdate(s, obstacles, cache_on);
+    });
+  }
   // The simd tier sweep is a runtime property of the host (clamped to what
   // it supports; RADLOC_SIMD pins a single tier), so these are registered
-  // dynamically; the tier rides in the name and lands in the JSON `config`.
+  // dynamically too.
   for (const auto tier : radloc::simd::sweep_tiers()) {
     const std::string tn = radloc::simd::tier_name(tier);
     benchmark::RegisterBenchmark(("BM_PoissonBatch/simd:" + tn).c_str(),
@@ -416,11 +304,7 @@ int main(int argc, char** argv) {
 
   radloc::bench::JsonWriter json("weight_update");
   for (const auto& [name, rate] : reporter.rates) {
-    std::size_t threads = 1;
-    if (const auto pos = name.find("threads:"); pos != std::string::npos) {
-      threads = static_cast<std::size_t>(std::strtoul(name.c_str() + pos + 8, nullptr, 10));
-    }
-    json.add("weight-update-scenario-A", name, "particles_per_sec", rate, threads);
+    json.add("weight-update-scenario-A", name, "particles_per_sec", rate, 1);
   }
   json.write();
   return 0;

@@ -6,8 +6,11 @@
 //
 // Two levels of parallelism share one pool (DESIGN.md §5.6):
 //
-//   outer  TaskGroup::run       trial-grained tasks (run_experiment)
-//   inner  parallel_for         weight-update / mean-shift chunks
+//   outer  TaskGroup::run       trials (run_experiment), session drains
+//                               (SessionManager::drain_all)
+//   inner  parallel_for         mean-shift ascents and support chunks
+//
+// A filter reading never fans out: it runs on the thread that applies it.
 //
 // Nesting policy: a parallel_for issued from a thread that is already
 // executing pool work (a worker running a task, or a caller running its own

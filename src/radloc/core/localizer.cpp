@@ -25,9 +25,6 @@ MultiSourceLocalizer::MultiSourceLocalizer(const Environment& env, std::vector<S
       recent_head_(filter_.sensors().size(), 0),
       recent_size_(filter_.sensors().size(), 0) {
   require(cfg_.history_window >= 1, "history window must hold at least one reading");
-  // The weight update shares the mean-shift pool: one pool, one thread-count
-  // knob (Table I's scaling parameter) for the whole measurement hot path.
-  filter_.set_thread_pool(shared_pool != nullptr ? shared_pool : &pool_);
   for (auto& buf : recent_readings_) buf.assign(cfg_.history_window, 0.0);
 }
 

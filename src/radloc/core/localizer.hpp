@@ -80,11 +80,12 @@ class MultiSourceLocalizer {
   /// deployments; `seed` fixes all of the localizer's randomness.
   ///
   /// `shared_pool`, when non-null, is an externally owned pool (it must
-  /// outlive the localizer) that the filter and mean-shift stages use
-  /// instead of an internal one — this is how trial-level outer parallelism
-  /// (run_experiment) and the inner weight-update/mean-shift parallelism
-  /// share one pool without oversubscription; cfg.num_threads is ignored in
-  /// that case (the pool's thread count rules). See DESIGN.md §5.6.
+  /// outlive the localizer) that mean-shift uses instead of an internal one
+  /// — this is how trial- or session-level outer parallelism
+  /// (run_experiment, SessionManager) and the estimate-level mean-shift
+  /// parallelism share one pool without oversubscription; cfg.num_threads
+  /// is ignored in that case (the pool's thread count rules). Readings
+  /// always apply on the calling thread. See DESIGN.md §5.6.
   MultiSourceLocalizer(const Environment& env, std::vector<Sensor> sensors, LocalizerConfig cfg,
                        std::uint64_t seed, ThreadPool* shared_pool = nullptr);
 

@@ -159,8 +159,8 @@ ExperimentResult run_experiment(const Scenario& scenario, const ExperimentOption
   std::vector<TrialAccum> accums(opts.trials);
   const std::size_t outer =
       std::min(opts.num_threads > 0 ? opts.num_threads : 1, opts.trials);
-  // The trial pool is shared with each trial's filter/mean-shift stages:
-  // with outer parallelism the inner parallel_for calls run inline on the
+  // The trial pool is shared with each trial's mean-shift stage: with
+  // outer parallelism the inner parallel_for calls run inline on the
   // trial's thread (ThreadPool's nesting policy), so thread count never
   // exceeds `outer`. In the serial case localizers own their pools per
   // cfg.num_threads, exactly as before.

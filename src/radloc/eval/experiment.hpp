@@ -29,10 +29,10 @@ struct ExperimentOptions {
   LocalizerConfig localizer;
   bool use_scenario_defaults = true;
   /// Worker threads for TRIAL-level parallelism: independent trials run
-  /// concurrently on one shared pool (inner weight-update/mean-shift
-  /// parallelism from inside a trial runs inline — DESIGN.md §5.6). 1 (or
-  /// 0) keeps the seed's serial loop, in which case localizer.num_threads
-  /// still governs inner parallelism. Per-trial RNG streams are pre-split
+  /// concurrently on one shared pool (inner mean-shift parallelism from
+  /// inside a trial runs inline — DESIGN.md §5.6). 1 (or 0) keeps the
+  /// seed's serial loop, in which case localizer.num_threads still governs
+  /// inner parallelism. Per-trial RNG streams are pre-split
   /// serially and aggregation runs in trial-index order, so every
   /// ExperimentResult field except the wall-clock seconds_per_iteration is
   /// bit-identical at any thread count (pinned by test).

@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "radloc/common/math.hpp"
-#include "radloc/concurrency/thread_pool.hpp"
 #include "radloc/radiation/intensity_model.hpp"
 #include "radloc/simd/simd.hpp"
 
@@ -21,9 +20,8 @@ double index_cell_size(const FilterConfig& cfg) { return std::max(cfg.fusion_ran
 
 // Per-thread, like mean-shift's ascent buffers: a session's filter keeps no
 // per-reading memory of its own, so many sessions cost one high-water copy
-// per thread rather than one each. A thread runs one reading at a time (a
-// pool waiter never picks up another wave's job, so no reading nests inside
-// another), and a reading leaves nothing here that the next one reads.
+// per thread rather than one each. A reading runs start to finish on one
+// thread and leaves nothing here that the next one reads.
 struct FusionParticleFilter::Scratch {
   std::vector<std::uint32_t> subset;
   std::vector<std::uint32_t> subset_cells;  // index cell of each subset entry
@@ -85,24 +83,6 @@ void FusionParticleFilter::initialize_particles(Rng& rng) {
     positions_[i] = resampler_.random_position(rng);
     strengths_[i] = resampler_.random_strength(rng);
   }
-}
-
-double FusionParticleFilter::hypothesis_rate(const Point2& at, const SensorResponse& response,
-                                             const Point2& pos, double strength,
-                                             const TransmissionCache* cache,
-                                             const TransmissionCache::Field* field) const {
-  const Source hypothesis{pos, strength};
-  if (!cfg_.use_known_obstacles) {
-    return expected_cpm_single_free_space(at, hypothesis, response);
-  }
-  if (field != nullptr) {
-    // Cached Eq. (3): exact free-space fading times the memoized
-    // transmission of the sensor->particle path.
-    return kMicroCurieToCpm * response.efficiency * free_space_intensity(at, hypothesis) *
-               cache->transmission(*field, pos) +
-           response.background_cpm;
-  }
-  return expected_cpm_single(at, hypothesis, *env_, response);
 }
 
 void FusionParticleFilter::set_movement_model(std::unique_ptr<MovementModel> model) {
@@ -233,10 +213,9 @@ bool FusionParticleFilter::select_and_rate(Scratch& s, const Point2& at,
     index_.update(positions_, s.subset);
   }
 
-  // The transmission field for this origin is prepared serially here; the
-  // parallel loop below only reads it. A borrowed shared cache (prepared up
-  // front, read-only — safe across concurrent trials) wins over the owned
-  // one; origins it lacks fall back to exact geometry.
+  // A borrowed shared cache (prepared up front, read-only — safe across
+  // concurrent trials) wins over the owned one; origins it lacks fall back
+  // to exact geometry.
   const TransmissionCache* cache = shared_cache_ != nullptr ? shared_cache_ : cache_.get();
   const TransmissionCache::Field* field = nullptr;
   if (shared_cache_ != nullptr) {
@@ -247,67 +226,40 @@ bool FusionParticleFilter::select_and_rate(Scratch& s, const Point2& at,
 
   const std::size_t n = s.subset.size();
   s.rates.resize(n);
-  const simd::Kernels& ker = simd::kernels();
 
   // Rates run through the batch kernels (simd/simd.hpp) whenever the rate
   // is pure arithmetic: free space, or the cached Eq. (3) path whose
   // transmissions are bilinear lookups. Obstacle geometry without a cache
   // field keeps the per-particle exact path. The scalar tier replays the
   // seed expressions bit for bit; vector tiers are an explicit opt-in.
-  const bool batched = !cfg_.use_known_obstacles || field != nullptr;
-  if (batched) {
-    s.x.resize(n);
-    s.y.resize(n);
-    s.strength.resize(n);
-    const bool use_field = cfg_.use_known_obstacles;
-    if (use_field) s.transmission.resize(n);
-    simd::assert_vector_aligned(s.x.data());
-    simd::assert_vector_aligned(s.rates.data());
-    const double scale = kMicroCurieToCpm * response.efficiency;
-    const simd::BilinearGrid grid = use_field ? cache->grid_view(*field) : simd::BilinearGrid{};
-    const auto rate_chunk = [&](std::size_t begin, std::size_t end) {
-      const std::size_t len = end - begin;
-      if (len == 0) return;
-      double* gx = s.x.data() + begin;
-      double* gy = s.y.data() + begin;
-      double* gs = s.strength.data() + begin;
-      for (std::size_t k = 0; k < len; ++k) {
-        const auto i = s.subset[begin + k];
-        gx[k] = positions_[i].x;
-        gy[k] = positions_[i].y;
-        gs[k] = strengths_[i];
-      }
-      const double* gt = nullptr;
-      if (use_field) {
-        double* t = s.transmission.data() + begin;
-        ker.bilinear(grid, gx, gy, t, len);
-        gt = t;
-      }
-      ker.hypothesis_rates(at.x, at.y, scale, response.background_cpm, gx, gy, gs, gt,
-                           s.rates.data() + begin, len);
-    };
-    if (pool_ != nullptr) {
-      // Chunks write disjoint slots of the caller's scratch; kernels are
-      // elementwise with padded tails, so any chunking yields the same bits
-      // within a tier, and the scoring/reductions downstream run serially in
-      // index order.
-      pool_->parallel_for(n, rate_chunk);
-    } else {
-      rate_chunk(0, n);
+  if (cfg_.use_known_obstacles && field == nullptr) {
+    for (std::size_t k = 0; k < n; ++k) {
+      const auto i = s.subset[k];
+      s.rates[k] = expected_cpm_single(at, Source{positions_[i], strengths_[i]}, *env_, response);
     }
-  } else {
-    const auto rate_chunk = [&](std::size_t begin, std::size_t end) {
-      for (std::size_t k = begin; k < end; ++k) {
-        const auto i = s.subset[k];
-        s.rates[k] = hypothesis_rate(at, response, positions_[i], strengths_[i], cache, field);
-      }
-    };
-    if (pool_ != nullptr) {
-      pool_->parallel_for(n, rate_chunk);
-    } else {
-      rate_chunk(0, n);
-    }
+    return true;
   }
+  s.x.resize(n);
+  s.y.resize(n);
+  s.strength.resize(n);
+  simd::assert_vector_aligned(s.x.data());
+  simd::assert_vector_aligned(s.rates.data());
+  for (std::size_t k = 0; k < n; ++k) {
+    const auto i = s.subset[k];
+    s.x[k] = positions_[i].x;
+    s.y[k] = positions_[i].y;
+    s.strength[k] = strengths_[i];
+  }
+  const simd::Kernels& ker = simd::kernels();
+  const double* transmission = nullptr;
+  if (cfg_.use_known_obstacles) {
+    s.transmission.resize(n);
+    ker.bilinear(cache->grid_view(*field), s.x.data(), s.y.data(), s.transmission.data(), n);
+    transmission = s.transmission.data();
+  }
+  ker.hypothesis_rates(at.x, at.y, kMicroCurieToCpm * response.efficiency,
+                       response.background_cpm, s.x.data(), s.y.data(), s.strength.data(),
+                       transmission, s.rates.data(), n);
   return true;
 }
 
@@ -333,22 +285,10 @@ std::size_t FusionParticleFilter::apply_scores(Scratch& s, double k_sum, double 
   post.resize(n);
   simd::assert_vector_aligned(post.data());
   const simd::Kernels& ker = simd::kernels();
-  const bool fused = reps != 1.0;
-  const auto pmf_chunk = [&](std::size_t begin, std::size_t end) {
-    const std::size_t len = end - begin;
-    if (len == 0) return;
-    if (fused) {
-      ker.poisson_log_pmf_fused(k_sum, reps, log_fact_sum, s.rates.data() + begin,
-                                post.data() + begin, len);
-    } else {
-      ker.poisson_log_pmf(k_sum, log_fact_sum, s.rates.data() + begin, post.data() + begin,
-                          len);
-    }
-  };
-  if (pool_ != nullptr) {
-    pool_->parallel_for(n, pmf_chunk);
+  if (reps != 1.0) {
+    ker.poisson_log_pmf_fused(k_sum, reps, log_fact_sum, s.rates.data(), post.data(), n);
   } else {
-    pmf_chunk(0, n);
+    ker.poisson_log_pmf(k_sum, log_fact_sum, s.rates.data(), post.data(), n);
   }
 
   const double max_ll = ker.max_value(post.data(), n);

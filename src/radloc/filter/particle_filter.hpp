@@ -38,8 +38,6 @@
 
 namespace radloc {
 
-class ThreadPool;
-
 class FusionParticleFilter {
  public:
   /// `sensors` are the known sensor positions/responses (measurements refer
@@ -122,14 +120,6 @@ class FusionParticleFilter {
   /// Replaces the movement model (default: StaticMovement).
   void set_movement_model(std::unique_ptr<MovementModel> model);
 
-  /// Borrows a thread pool for the per-measurement weight update; nullptr
-  /// (the default) runs serially. The parallel path chunks the likelihood
-  /// loop over disjoint index ranges and reduces serially in index order, so
-  /// weights are bit-identical to the serial path at any thread count. The
-  /// pool must outlive the filter (MultiSourceLocalizer wires its own pool
-  /// in automatically).
-  void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
-
   /// Borrows a stage tracer for per-reading pipeline spans (validate,
   /// fusion-disk query, weight update, resample — DESIGN.md §5.10); nullptr
   /// (the default) disables tracing at the cost of one pointer compare per
@@ -184,10 +174,6 @@ class FusionParticleFilter {
 
  private:
   void initialize_particles(Rng& rng);
-  [[nodiscard]] double hypothesis_rate(const Point2& at, const SensorResponse& response,
-                                       const Point2& pos, double strength,
-                                       const TransmissionCache* cache,
-                                       const TransmissionCache::Field* field) const;
   /// The filter iteration proper; input already validated.
   std::size_t process_reading_impl(const Point2& at, const SensorResponse& response, double cpm);
 
@@ -196,9 +182,7 @@ class FusionParticleFilter {
   /// Nothing in it outlives a reading, so every filter on a thread shares
   /// that thread's copy (particle_filter.cpp).
   struct Scratch;
-  /// The calling thread's Scratch. Fetched once per reading by the thread
-  /// that runs it; pool chunks work in the caller's buffers and never fetch
-  /// their own.
+  /// The calling thread's Scratch, fetched once per reading.
   static Scratch& thread_scratch();
 
   /// Selects the fusion subset into s.subset, runs predict, and computes
@@ -219,7 +203,6 @@ class FusionParticleFilter {
   std::uint64_t stream_key_ = 0;
   Rng rng_;  ///< the current reading's stream
   MeasurementValidator validator_;
-  ThreadPool* pool_ = nullptr;
   obs::StageTracer* tracer_ = nullptr;  ///< null = tracing off (the default)
   std::unique_ptr<TransmissionCache> cache_;
   const TransmissionCache* shared_cache_ = nullptr;  ///< wins over cache_ when set

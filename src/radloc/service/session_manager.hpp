@@ -158,9 +158,9 @@ class SessionManager {
  public:
   using SessionId = std::uint64_t;
 
-  /// `pool` is the shared worker pool (must outlive the manager). Every
-  /// session's localizer borrows it, so inner weight-update parallelism
-  /// collapses inline under drain tasks per the §5.6 nesting policy.
+  /// `pool` is the shared worker pool (must outlive the manager). It runs
+  /// the drain tasks, and every session's localizer borrows it for
+  /// mean-shift; a drain task applies its readings on its own thread.
   /// `obs` optionally plugs in a metrics registry and a trace sink (see
   /// ServiceObservability for the lifetime contract).
   explicit SessionManager(ThreadPool& pool, ServiceObservability obs = {});

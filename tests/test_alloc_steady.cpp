@@ -1,4 +1,5 @@
-// Steady-state allocation regression test for the filter's per-reading path.
+// Steady-state allocation regression test for the filter's per-reading path
+// and the localizer's batch ingest above it (the path the service drains).
 //
 // Every container the hot path touches is a member or thread_local scratch
 // buffer sized on first use: the spatial index's rebuild scratch, the fusion
@@ -17,9 +18,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <new>
 #include <vector>
 
+#include "radloc/concurrency/thread_pool.hpp"
+#include "radloc/core/localizer.hpp"
 #include "radloc/filter/particle_filter.hpp"
 #include "radloc/sensornet/placement.hpp"
 #include "radloc/sensornet/simulator.hpp"
@@ -169,6 +173,63 @@ TEST(SteadyStateAllocation, FusedReadingsAreAllocationFree) {
   EXPECT_GT(filter.fused_groups(), 0u);
   EXPECT_GT(filter.resamples_skipped(), 0u) << "gate never skipped; one path is untested";
   EXPECT_GT(filter.resamples_performed(), 0u);
+}
+
+/// Feeds time steps through MultiSourceLocalizer::try_process_all, the call
+/// SessionManager's drain makes, with the per-reading callback the drain
+/// passes: odd sensors report once (the plain single-reading path), even
+/// sensors three times in a row (one fused update). Mean-shift, the only
+/// stage that uses the pool, is not part of it.
+void run_localizer_batches(ThreadPool* shared_pool) {
+  Environment env(make_area(60, 60));
+  auto sensors = place_grid(env.bounds(), 4, 4);
+  set_background(sensors, 5.0);
+
+  LocalizerConfig cfg;
+  cfg.filter.num_particles = 1500;
+  cfg.filter.fusion_range = 200.0;  // covers the whole area: |P'| is deterministic
+  MultiSourceLocalizer loc(env, sensors, cfg, /*seed=*/11, shared_pool);
+
+  MeasurementSimulator sim(env, sensors, {{{20, 40}, 50.0}, {{45, 15}, 50.0}});
+  Rng noise(12);
+  std::vector<std::vector<Measurement>> steps;
+  for (int step = 0; step < 3; ++step) {
+    std::vector<Measurement> batch;
+    for (const auto& m : sim.sample_time_step(noise)) {
+      for (int r = 0; r < (m.sensor % 2 == 0 ? 3 : 1); ++r) batch.push_back(m);
+    }
+    steps.push_back(std::move(batch));
+  }
+  std::size_t callbacks = 0;
+  const std::function<void(std::size_t, ReadingFault)> on_reading =
+      [&callbacks](std::size_t, ReadingFault) { ++callbacks; };
+  const auto pass = [&] {
+    for (const auto& batch : steps) (void)loc.try_process_all(batch, on_reading);
+  };
+  pass();  // warm-up: every scratch at capacity
+
+  const std::uint64_t fused_before = loc.filter().fused_groups();
+  const std::uint64_t iterations_before = loc.iterations();
+  g_alloc_count.store(0);
+  g_counting.store(true);
+  pass();
+  g_counting.store(false);
+  EXPECT_EQ(g_alloc_count.load(), 0) << "localizer batch ingest allocated at steady state";
+  std::size_t readings = 0;
+  for (const auto& batch : steps) readings += batch.size();
+  EXPECT_EQ(loc.iterations() - iterations_before, readings);
+  EXPECT_EQ(callbacks, 2 * readings);
+  EXPECT_GT(loc.filter().fused_groups(), fused_before) << "no fused run was applied";
+  EXPECT_LT(loc.filter().fused_readings(), loc.iterations()) << "no single reading was applied";
+}
+
+TEST(SteadyStateAllocation, LocalizerBatchesWithOwnPoolAreAllocationFree) {
+  run_localizer_batches(nullptr);
+}
+
+TEST(SteadyStateAllocation, LocalizerBatchesWithBorrowedPoolAreAllocationFree) {
+  ThreadPool pool(4, /*max_fanout=*/4);  // the service's shape: every thread may fan out
+  run_localizer_batches(&pool);
 }
 
 TEST(SteadyStateAllocation, CounterSeesOrdinaryAllocations) {

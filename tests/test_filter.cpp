@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -421,70 +422,84 @@ TEST(FusionFilter, KnownObstacleModeChangesLikelihood) {
   EXPECT_GT(aware_mass, 0.2);
 }
 
-TEST(FusionFilter, WeightsBitIdenticalAcrossThreadCounts) {
-  // Determinism contract of the parallel weight update: chunks write
-  // disjoint slots and every reduction (max, sum) runs serially in index
-  // order, so weights and particle states are bit-identical at any thread
-  // count. Pools are built with forced fan-out so the queued dispatch path
-  // runs even on single-core hosts.
-  Environment env(make_area(100, 100), {Obstacle(make_u_shape(38, 35, 62, 60, 2.0), 0.2)});
-  const auto sensors = test_sensors(env);
-  FilterConfig cfg = small_config();
-  cfg.use_known_obstacles = true;
-
-  MeasurementSimulator sim(env, sensors, {{{47, 71}, 40.0}, {{81, 42}, 40.0}});
-  Rng noise(31);
-  std::vector<Measurement> stream;
-  for (int step = 0; step < 5; ++step) {
-    for (const auto& m : sim.sample_time_step(noise)) stream.push_back(m);
-  }
-
-  FusionParticleFilter serial(env, sensors, cfg, Rng(33));
-  for (const auto& m : stream) (void)serial.process(m);
-
-  for (const std::size_t threads : {std::size_t{4}, std::size_t{8}}) {
-    ThreadPool pool(threads, /*max_fanout=*/threads);
-    FusionParticleFilter parallel(env, sensors, cfg, Rng(33));
-    parallel.set_thread_pool(&pool);
-    for (const auto& m : stream) (void)parallel.process(m);
-
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      ASSERT_EQ(serial.weights()[i], parallel.weights()[i]) << "threads=" << threads << " i=" << i;
-      ASSERT_EQ(serial.positions()[i].x, parallel.positions()[i].x) << "threads=" << threads;
-      ASSERT_EQ(serial.positions()[i].y, parallel.positions()[i].y) << "threads=" << threads;
-      ASSERT_EQ(serial.strengths()[i], parallel.strengths()[i]) << "threads=" << threads;
-    }
-  }
+/// Bitwise double equality: unlike ==, tells -0 from +0 and matches NaNs.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
 TEST(FusionFilter, LocalizerEstimatesBitIdenticalAcrossThreadCounts) {
-  // End-to-end check over the public entry point: filter weighting and the
-  // mean-shift basin-support accumulation both fan out over the pool, and
-  // both must leave estimates independent of cfg.num_threads.
+  // The determinism contract over the public entry point. Readings apply on
+  // the calling thread; the borrowed pool fans out only mean-shift's ascents
+  // and basin-support chunks, and neither may let the pool's size reach the
+  // particles or the estimates. Each rate mode (free space, cached obstacles,
+  // exact obstacles) runs at the scalar tier and at the host's detected
+  // tier, on pools built with forced fan-out so the queued dispatch path
+  // runs even on single-core hosts.
+  struct Mode {
+    const char* name;
+    bool obstacles;
+    bool transmission_cache;
+  };
   Environment env(make_area(100, 100), {Obstacle(make_u_shape(38, 35, 62, 60, 2.0), 0.2)});
   const auto sensors = test_sensors(env);
+  std::vector<simd::Tier> tiers{simd::Tier::kScalar};
+  if (simd::detected_tier() != simd::Tier::kScalar) tiers.push_back(simd::detected_tier());
 
-  std::vector<std::vector<SourceEstimate>> per_thread_count;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
-    LocalizerConfig cfg;
-    cfg.filter.num_particles = 1500;
-    cfg.filter.use_known_obstacles = true;
-    cfg.num_threads = threads;
-    MultiSourceLocalizer loc(env, sensors, cfg, /*seed=*/45);
-    MeasurementSimulator sim(env, sensors, {{{47, 71}, 40.0}});
-    Rng noise(46);
-    for (int step = 0; step < 5; ++step) loc.process_all(sim.sample_time_step(noise));
-    per_thread_count.push_back(loc.estimate());
-  }
+  for (const Mode mode : {Mode{"free", false, false}, Mode{"cached", true, true},
+                          Mode{"exact", true, false}}) {
+    for (const simd::Tier tier : tiers) {
+      SCOPED_TRACE(::testing::Message() << mode.name << ", " << simd::tier_name(tier));
+      simd::force_tier(tier);
+      LocalizerConfig cfg;
+      cfg.filter.num_particles = 1500;
+      cfg.filter.use_known_obstacles = mode.obstacles;
+      cfg.filter.use_transmission_cache = mode.transmission_cache;
 
-  for (std::size_t t = 1; t < per_thread_count.size(); ++t) {
-    ASSERT_EQ(per_thread_count[0].size(), per_thread_count[t].size());
-    for (std::size_t k = 0; k < per_thread_count[0].size(); ++k) {
-      EXPECT_EQ(per_thread_count[0][k].pos.x, per_thread_count[t][k].pos.x);
-      EXPECT_EQ(per_thread_count[0][k].pos.y, per_thread_count[t][k].pos.y);
-      EXPECT_EQ(per_thread_count[0][k].strength, per_thread_count[t][k].strength);
-      EXPECT_EQ(per_thread_count[0][k].support, per_thread_count[t][k].support);
+      struct Run {
+        std::size_t threads;
+        std::vector<Point2> positions;
+        std::vector<double> strengths;
+        std::vector<double> weights;
+        std::vector<SourceEstimate> estimates;
+      };
+      std::vector<Run> runs;
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+        ThreadPool pool(threads, /*max_fanout=*/threads);
+        MultiSourceLocalizer loc(env, sensors, cfg, /*seed=*/45, &pool);
+        MeasurementSimulator sim(env, sensors, {{{47, 71}, 40.0}, {{81, 42}, 40.0}});
+        Rng noise(46);
+        for (int step = 0; step < 5; ++step) loc.process_all(sim.sample_time_step(noise));
+        const FusionParticleFilter& f = loc.filter();
+        runs.push_back(Run{threads,
+                           {f.positions().begin(), f.positions().end()},
+                           {f.strengths().begin(), f.strengths().end()},
+                           {f.weights().begin(), f.weights().end()},
+                           loc.estimate()});
+      }
+      simd::reset_tier();
+
+      const Run& ref = runs.front();
+      EXPECT_FALSE(ref.estimates.empty());
+      for (std::size_t r = 1; r < runs.size(); ++r) {
+        const Run& run = runs[r];
+        SCOPED_TRACE(::testing::Message() << run.threads << " threads");
+        ASSERT_EQ(ref.weights.size(), run.weights.size());
+        for (std::size_t i = 0; i < ref.weights.size(); ++i) {
+          ASSERT_TRUE(same_bits(ref.weights[i], run.weights[i])) << "i=" << i;
+          ASSERT_TRUE(same_bits(ref.positions[i].x, run.positions[i].x)) << "i=" << i;
+          ASSERT_TRUE(same_bits(ref.positions[i].y, run.positions[i].y)) << "i=" << i;
+          ASSERT_TRUE(same_bits(ref.strengths[i], run.strengths[i])) << "i=" << i;
+        }
+        ASSERT_EQ(ref.estimates.size(), run.estimates.size());
+        for (std::size_t k = 0; k < ref.estimates.size(); ++k) {
+          EXPECT_TRUE(same_bits(ref.estimates[k].pos.x, run.estimates[k].pos.x)) << "k=" << k;
+          EXPECT_TRUE(same_bits(ref.estimates[k].pos.y, run.estimates[k].pos.y)) << "k=" << k;
+          EXPECT_TRUE(same_bits(ref.estimates[k].strength, run.estimates[k].strength))
+              << "k=" << k;
+          EXPECT_TRUE(same_bits(ref.estimates[k].support, run.estimates[k].support))
+              << "k=" << k;
+        }
+      }
     }
   }
 }

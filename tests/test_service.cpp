@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
@@ -252,26 +253,37 @@ TEST(SessionManager, StatsSurfaceFusedBatchLength) {
 }
 
 TEST(SessionManager, FusedGroupDrainTimeIsSharedByItsReadings) {
-  // A fused group's callbacks fire together once the group has applied. Its
-  // readings must share the group's time: billing it all to the first would
-  // leave the other three near 0 us, under the histogram's first bound.
+  // A fused group's callbacks fire together once the group has applied, and
+  // its readings share the group's time evenly. Equal shares land in one
+  // bucket of the latency histogram however fast the host runs; billing the
+  // whole group to its first reading would put that reading in a higher
+  // bucket than the other three, whose callbacks follow at once. So each
+  // drain of one four-reading group must move exactly one bucket, by 4.
   Fixture f;
   f.cfg.localizer.filter.num_particles = 4000;
   ThreadPool pool(1);
   obs::MetricsRegistry registry;
   SessionManager mgr(pool, ServiceObservability{&registry, nullptr});
   const auto id = mgr.open(f.env, f.sensors, f.cfg, 7);
-  std::size_t fed = 0;
-  for (const auto& r : make_feed(f, {{{40, 60}, 40.0}}, 3, 8)) {
-    for (int k = 0; k < 4; ++k, ++fed) ASSERT_EQ(mgr.ingest(id, r), IngestStatus::kQueued);
-  }
-  (void)mgr.drain_all();
-  EXPECT_EQ(mgr.stats(id).fused_batch_len, 4.0);
   const obs::Histogram& latency =
       registry.histogram("radloc_session_drain_latency_us", {{"session", std::to_string(id)}});
-  ASSERT_EQ(latency.count(), fed);
-  EXPECT_EQ(latency.bucket_count(0), 0u)
-      << "readings drained in under " << latency.upper_bound(0) << " us";
+  std::vector<std::uint64_t> before(latency.num_buckets());
+  std::size_t fed = 0;
+  for (const auto& r : make_feed(f, {{{40, 60}, 40.0}}, 3, 8)) {
+    for (std::size_t b = 0; b < before.size(); ++b) before[b] = latency.bucket_count(b);
+    for (int k = 0; k < 4; ++k, ++fed) ASSERT_EQ(mgr.ingest(id, r), IngestStatus::kQueued);
+    ASSERT_EQ(mgr.drain_all(), 4u);
+    std::size_t moved = 0;
+    for (std::size_t b = 0; b < before.size(); ++b) {
+      const std::uint64_t added = latency.bucket_count(b) - before[b];
+      if (added == 0) continue;
+      ++moved;
+      EXPECT_EQ(added, 4u) << "sensor " << r.m.sensor << ", bucket " << b;
+    }
+    ASSERT_EQ(moved, 1u) << "sensor " << r.m.sensor << ": a group's readings split over buckets";
+  }
+  EXPECT_EQ(mgr.stats(id).fused_batch_len, 4.0);
+  EXPECT_EQ(latency.count(), fed);
 }
 
 TEST(SessionManager, SessionsAreIndependent) {

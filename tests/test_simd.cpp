@@ -635,60 +635,6 @@ TEST(SimdAligned, AVectorBuffersAre32ByteAligned) {
 // ---------------------------------------------------------------------------
 // Adoption invariants: the filter and mean-shift under a forced vector tier
 
-TEST(SimdAdoption, FilterWeightsBitIdenticalAcrossThreadCountsInVectorTier) {
-  // The padded-tail design makes every kernel chunking-invariant, so the
-  // thread-count bit-identity contract must hold within a VECTOR tier too,
-  // on both batched rate paths (free space, and cached-obstacle bilinear)
-  // and on exact obstacle geometry, whose per-particle rates are also
-  // scored through the active tier's Poisson kernel.
-  if (simd::detected_tier() == simd::Tier::kScalar) {
-    GTEST_SKIP() << "host has no vector tier";
-  }
-  TierGuard guard(simd::detected_tier());
-
-  struct Mode {
-    const char* name;
-    bool obstacles;
-    bool transmission_cache;
-  };
-  for (const Mode mode : {Mode{"free", false, false}, Mode{"cached", true, true},
-                          Mode{"exact", true, false}}) {
-    Environment env = mode.obstacles
-                          ? Environment(make_area(100, 100),
-                                        {Obstacle(make_u_shape(38, 35, 62, 60, 2.0), 0.2)})
-                          : Environment(make_area(100, 100));
-    auto sensors = place_grid(env.bounds(), 5, 5);
-    set_background(sensors, 5.0);
-    FilterConfig cfg;
-    cfg.num_particles = 1200;
-    cfg.use_known_obstacles = mode.obstacles;
-    cfg.use_transmission_cache = mode.transmission_cache;
-
-    MeasurementSimulator sim(env, sensors, {{{47, 71}, 60.0}, {{81, 42}, 60.0}});
-    Rng noise(21);
-    std::vector<Measurement> stream;
-    for (int step = 0; step < 4; ++step) {
-      for (const auto& m : sim.sample_time_step(noise)) stream.push_back(m);
-    }
-
-    FusionParticleFilter serial(env, sensors, cfg, Rng(23));
-    for (const auto& m : stream) (void)serial.process(m);
-
-    ThreadPool pool(4, /*max_fanout=*/4);
-    FusionParticleFilter parallel(env, sensors, cfg, Rng(23));
-    parallel.set_thread_pool(&pool);
-    for (const auto& m : stream) (void)parallel.process(m);
-
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      ASSERT_TRUE(same_bits(serial.weights()[i], parallel.weights()[i]))
-          << mode.name << " i=" << i;
-      ASSERT_TRUE(same_bits(serial.positions()[i].x, parallel.positions()[i].x));
-      ASSERT_TRUE(same_bits(serial.strengths()[i], parallel.strengths()[i]));
-    }
-  }
-}
-
 TEST(SimdAdoption, FilterStaysNormalizedInEveryTier) {
   for (const auto t : host_tiers()) {
     TierGuard guard(t);
