@@ -1,24 +1,23 @@
 // Trial-level experiment throughput (DESIGN.md §5.6).
 //
-// Runs the Fig. 5 three-source scenario with Scenario A's U-shaped obstacle
-// through run_experiment under increasing trial parallelism and records
-// trials/sec:
+// Runs the Fig. 5 three-source scenario with Scenario A's U-shaped obstacle,
+// scored by exact known-obstacle geometry, through run_experiment under
+// increasing trial parallelism and records trials/sec:
 //
-//   seed       serial loop, per-trial rebuild of simulator + transmission
-//              cache (the pre-PR cost model)
-//   shared     serial loop, immutable per-scenario state shared across
-//              trials (memoized ground-truth rates + one prepared cache)
-//   N threads  shared state + N-way trial parallelism on one pool
+//   serial     one trial after another
+//   N threads  N-way trial parallelism on one pool
 //
 // Every parallel run is checked bitwise against the serial result (the
 // determinism contract) and the comparison is recorded alongside the
-// throughput numbers in BENCH_experiment_throughput.json. Speedups are
-// measured on THIS host — host_hw_threads in the JSON says how many cores
-// were actually available to the thread scaling.
+// throughput numbers in BENCH_experiment_throughput.json. Every row's config
+// ends in the SIMD tier it ran (`,simd:<tier>`). Speedups are measured on
+// THIS host — host_hw_threads in the JSON says how many cores were actually
+// available to the thread scaling.
 
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -67,50 +66,30 @@ int main(int argc, char** argv) {
   opts.time_steps = bench::steps(30);
   opts.seed = 7;
   opts.localizer.filter.use_known_obstacles = true;
-  opts.localizer.filter.use_transmission_cache = true;
 
   const auto trials = static_cast<double>(opts.trials);
+  const std::string tier = std::string(",simd:") + simd::tier_name(simd::active_tier());
   std::printf("experiment throughput — scenario A3+obstacle, %zu trials x %zu steps\n",
               opts.trials, opts.time_steps);
 
-  // Seed baseline: serial loop, everything rebuilt per trial.
   opts.num_threads = 1;
-  opts.share_scenario_state = false;
   ExperimentResult serial_ref;
-  const double seed_s = run_once(scenario, opts, &serial_ref);
-  const double seed_tps = trials / seed_s;
-  std::printf("  %-22s %8.3f s  %6.3f trials/s\n", "seed (rebuild/trial)", seed_s, seed_tps);
-  json.add("A3+obstacle", "seed-per-trial-rebuild", "trials_per_sec", seed_tps, 1);
-
-  // Shared scenario state, still serial.
-  opts.share_scenario_state = true;
-  ExperimentResult shared_result;
-  const double shared_s = run_once(scenario, opts, &shared_result);
-  const double shared_tps = trials / shared_s;
-  std::printf("  %-22s %8.3f s  %6.3f trials/s  %5.2fx  bit-identical=%s\n", "shared state",
-              shared_s, shared_tps, seed_s / shared_s,
-              identical(serial_ref, shared_result) ? "yes" : "NO");
-  json.add("A3+obstacle", "shared-state", "trials_per_sec", shared_tps, 1);
-  json.add("A3+obstacle", "shared-state", "speedup_vs_seed", seed_s / shared_s, 1);
-  json.add("A3+obstacle", "shared-state", "bitwise_match_serial",
-           identical(serial_ref, shared_result) ? 1.0 : 0.0, 1);
+  const double serial_s = run_once(scenario, opts, &serial_ref);
+  std::printf("  %-22s %8.3f s  %6.3f trials/s\n", "serial", serial_s, trials / serial_s);
+  json.add("A3+obstacle", "serial" + tier, "trials_per_sec", trials / serial_s, 1);
 
   for (const std::size_t n : std::vector<std::size_t>{2, 4, 8}) {
     if (n > opts.trials) break;
     opts.num_threads = n;
     ExperimentResult result;
     const double s = run_once(scenario, opts, &result);
-    const double tps = trials / s;
     const bool match = identical(serial_ref, result);
     char label[32];
-    std::snprintf(label, sizeof(label), "shared, %zu threads", n);
-    std::printf("  %-22s %8.3f s  %6.3f trials/s  %5.2fx  bit-identical=%s\n", label, s, tps,
-                seed_s / s, match ? "yes" : "NO");
-    char config[32];
-    std::snprintf(config, sizeof(config), "shared-state-parallel");
-    json.add("A3+obstacle", config, "trials_per_sec", tps, n);
-    json.add("A3+obstacle", config, "speedup_vs_seed", seed_s / s, n);
-    json.add("A3+obstacle", config, "bitwise_match_serial", match ? 1.0 : 0.0, n);
+    std::snprintf(label, sizeof(label), "%zu threads", n);
+    std::printf("  %-22s %8.3f s  %6.3f trials/s  %5.2fx  bit-identical=%s\n", label, s,
+                trials / s, serial_s / s, match ? "yes" : "NO");
+    json.add("A3+obstacle", "parallel" + tier, "trials_per_sec", trials / s, n);
+    json.add("A3+obstacle", "parallel" + tier, "bitwise_match_serial", match ? 1.0 : 0.0, n);
   }
 
   json.write();

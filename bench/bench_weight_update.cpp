@@ -1,8 +1,7 @@
 // Weight-update hot-path throughput (particles/sec) on Scenario A, NP 15000:
-// the per-particle likelihood loop for {free space, obstacles} x
-// {transmission cache off/on} (BM_WeightUpdate: the only measurement of
-// exact versus cached obstacle scoring), and, per SIMD tier, one batched
-// Poisson pass (BM_PoissonBatch) and the filter's batched scoring pipeline
+// the per-particle likelihood loop in free space and with exact known
+// obstacles (BM_WeightUpdate), and, per SIMD tier, one batched Poisson pass
+// (BM_PoissonBatch) and the filter's batched free-space scoring pipeline
 // (BM_WeightUpdateBatched). Every row runs on one thread, as a reading does,
 // and names its tier in its config.
 //
@@ -30,7 +29,6 @@
 #include "radloc/common/math.hpp"
 #include "radloc/eval/scenarios.hpp"
 #include "radloc/radiation/intensity_model.hpp"
-#include "radloc/radiation/transmission_cache.hpp"
 #include "radloc/rng/distributions.hpp"
 #include "radloc/sensornet/simulator.hpp"
 #include "radloc/simd/aligned.hpp"
@@ -76,15 +74,13 @@ Cloud make_cloud(bool obstacles) {
   return c;
 }
 
-/// The per-particle scoring loop, serial: hoisted PoissonLogPmf, AABB-swept
-/// path_attenuation (cache off) or the per-sensor transmission cache's
-/// bilinear lookup (cache on). These are the scalar expressions the filter's
-/// exact-geometry path evaluates (its Poisson pass then goes through the
+/// The per-particle scoring loop, serial: hoisted PoissonLogPmf, and the
+/// free-space rate or the exact Eq. (3) rate through AABB-swept
+/// path_attenuation. These are the scalar expressions the filter's
+/// known-obstacle path evaluates (its Poisson pass then goes through the
 /// active tier's kernel), so the rows name the scalar tier.
-void BM_WeightUpdate(benchmark::State& state, bool obstacles, bool cache_on) {
+void BM_WeightUpdate(benchmark::State& state, bool obstacles) {
   const Cloud c = make_cloud(obstacles);
-
-  TransmissionCache cache(c.scenario.env, 2.0);
 
   std::size_t sensor = 0;
   std::size_t scored = 0;
@@ -93,22 +89,13 @@ void BM_WeightUpdate(benchmark::State& state, bool obstacles, bool cache_on) {
   for (auto _ : state) {
     const Sensor& s = c.scenario.sensors[sensor];
     const auto& subset = c.subsets[sensor];
-    const TransmissionCache::Field* field =
-        obstacles && cache_on ? cache.prepare(s.pos) : nullptr;
     const PoissonLogPmf log_pmf(c.readings[sensor]);
     for (std::size_t k = 0; k < subset.size(); ++k) {
       const auto i = subset[k];
       const Source hyp{c.positions[i], c.strengths[i]};
-      double rate;
-      if (!obstacles) {
-        rate = expected_cpm_single_free_space(s.pos, hyp, s.response);
-      } else if (field != nullptr) {
-        rate = kMicroCurieToCpm * s.response.efficiency * free_space_intensity(s.pos, hyp) *
-                   cache.transmission(*field, hyp.pos) +
-               s.response.background_cpm;
-      } else {
-        rate = expected_cpm_single(s.pos, hyp, c.scenario.env, s.response);
-      }
+      const double rate = obstacles
+                              ? expected_cpm_single(s.pos, hyp, c.scenario.env, s.response)
+                              : expected_cpm_single_free_space(s.pos, hyp, s.response);
       lls[k] = log_pmf(rate);
     }
     benchmark::DoNotOptimize(lls.data());
@@ -141,8 +128,8 @@ void BM_PoissonBatch(benchmark::State& state, simd::Tier tier) {
   std::size_t scored = 0;
   const auto t0 = std::chrono::steady_clock::now();
   for (auto _ : state) {
-    ker.poisson_log_pmf(log_pmf.count(), log_pmf.log_k_factorial(), rates.data(), out.data(),
-                        kParticles);
+    ker.poisson_log_pmf_fused(log_pmf.count(), 1.0, log_pmf.log_k_factorial(), rates.data(),
+                              out.data(), kParticles);
     benchmark::DoNotOptimize(out.data());
     scored += kParticles;
   }
@@ -151,19 +138,16 @@ void BM_PoissonBatch(benchmark::State& state, simd::Tier tier) {
       benchmark::Counter(secs > 0.0 ? static_cast<double>(scored) / secs : 0.0);
 }
 
-/// The filter's full batched scoring pipeline per tier: SoA gather, then
-/// hypothesis rates (with gathered bilinear transmissions when obstacles are
-/// cached), then the batch Poisson — exactly process_reading_impl's batched
-/// path.
-void BM_WeightUpdateBatched(benchmark::State& state, bool obstacles, simd::Tier tier) {
-  const Cloud c = make_cloud(obstacles);
+/// The filter's full batched free-space scoring pipeline per tier: SoA
+/// gather, then hypothesis rates, then the batch Poisson — exactly the
+/// filter's free-space path for one reading.
+void BM_WeightUpdateBatched(benchmark::State& state, simd::Tier tier) {
+  const Cloud c = make_cloud(false);
   const simd::Kernels& ker = simd::kernels_for(tier);
-  TransmissionCache cache(c.scenario.env, 2.0);
 
   simd::AVector<double> gx(kParticles);
   simd::AVector<double> gy(kParticles);
   simd::AVector<double> gs(kParticles);
-  simd::AVector<double> gt(kParticles);
   simd::AVector<double> lls(kParticles);
 
   std::size_t sensor = 0;
@@ -180,16 +164,11 @@ void BM_WeightUpdateBatched(benchmark::State& state, bool obstacles, simd::Tier 
       gy[k] = c.positions[i].y;
       gs[k] = c.strengths[i];
     }
-    const double* trans = nullptr;
-    if (obstacles) {
-      const TransmissionCache::Field* field = cache.prepare(s.pos);
-      ker.bilinear(cache.grid_view(*field), gx.data(), gy.data(), gt.data(), n);
-      trans = gt.data();
-    }
     ker.hypothesis_rates(s.pos.x, s.pos.y, kMicroCurieToCpm * s.response.efficiency,
-                         s.response.background_cpm, gx.data(), gy.data(), gs.data(), trans,
-                         lls.data(), n);
-    ker.poisson_log_pmf(log_pmf.count(), log_pmf.log_k_factorial(), lls.data(), lls.data(), n);
+                         s.response.background_cpm, gx.data(), gy.data(), gs.data(), lls.data(),
+                         n);
+    ker.poisson_log_pmf_fused(log_pmf.count(), 1.0, log_pmf.log_k_factorial(), lls.data(),
+                              lls.data(), n);
     benchmark::DoNotOptimize(lls.data());
     scored += n;
     sensor = (sensor + 1) % c.scenario.sensors.size();
@@ -226,10 +205,6 @@ void print_speedups(const std::map<std::string, double>& rates) {
       std::printf("SPEEDUP %-44s %.2fx\n", label, a / b);
     }
   };
-  std::printf("\n--- obstacle scoring, transmission cache on vs off ---\n");
-  report("obstacles, cache on vs off", "BM_WeightUpdate/obstacles:1/cache:1/simd:scalar",
-         "BM_WeightUpdate/obstacles:1/cache:0/simd:scalar");
-
   // Tier sweep (rows exist only for tiers the host ran — RADLOC_SIMD pins).
   std::printf("\n--- simd kernel tiers vs scalar tier ---\n");
   for (const char* tier : {"sse2", "avx2"}) {
@@ -239,9 +214,6 @@ void print_speedups(const std::map<std::string, double>& rates) {
     report((std::string("batched scoring, free space, ") + tier + " vs scalar").c_str(),
            "BM_WeightUpdateBatched/obstacles:0/" + suffix,
            "BM_WeightUpdateBatched/obstacles:0/simd:scalar");
-    report((std::string("batched scoring, cached obstacles, ") + tier + " vs scalar").c_str(),
-           "BM_WeightUpdateBatched/obstacles:1/" + suffix,
-           "BM_WeightUpdateBatched/obstacles:1/simd:scalar");
   }
 }
 
@@ -274,13 +246,11 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc2, args.data())) return 1;
 
   // Every row's name, and so its JSON `config`, ends in the tier it ran.
-  for (const auto& [obstacles, cache_on] :
-       {std::pair{false, false}, std::pair{true, false}, std::pair{true, true}}) {
-    const std::string name = std::string("BM_WeightUpdate/obstacles:") + (obstacles ? "1" : "0") +
-                             "/cache:" + (cache_on ? "1" : "0") + "/simd:scalar";
-    benchmark::RegisterBenchmark(name.c_str(), [obstacles, cache_on](benchmark::State& s) {
-      BM_WeightUpdate(s, obstacles, cache_on);
-    });
+  for (const bool obstacles : {false, true}) {
+    const std::string name =
+        std::string("BM_WeightUpdate/obstacles:") + (obstacles ? "1" : "0") + "/simd:scalar";
+    benchmark::RegisterBenchmark(
+        name.c_str(), [obstacles](benchmark::State& s) { BM_WeightUpdate(s, obstacles); });
   }
   // The simd tier sweep is a runtime property of the host (clamped to what
   // it supports; RADLOC_SIMD pins a single tier), so these are registered
@@ -289,12 +259,8 @@ int main(int argc, char** argv) {
     const std::string tn = radloc::simd::tier_name(tier);
     benchmark::RegisterBenchmark(("BM_PoissonBatch/simd:" + tn).c_str(),
                                  [tier](benchmark::State& s) { BM_PoissonBatch(s, tier); });
-    benchmark::RegisterBenchmark(
-        ("BM_WeightUpdateBatched/obstacles:0/simd:" + tn).c_str(),
-        [tier](benchmark::State& s) { BM_WeightUpdateBatched(s, false, tier); });
-    benchmark::RegisterBenchmark(
-        ("BM_WeightUpdateBatched/obstacles:1/simd:" + tn).c_str(),
-        [tier](benchmark::State& s) { BM_WeightUpdateBatched(s, true, tier); });
+    benchmark::RegisterBenchmark(("BM_WeightUpdateBatched/obstacles:0/simd:" + tn).c_str(),
+                                 [tier](benchmark::State& s) { BM_WeightUpdateBatched(s, tier); });
   }
 
   SpeedupReporter reporter;

@@ -50,8 +50,8 @@ void JointParticleFilter::process(const Measurement& m) {
     rates_[p] = joint_rate(sensor, hyp);
   }
   const simd::Kernels& ker = simd::kernels();
-  ker.poisson_log_pmf(log_pmf.count(), log_pmf.log_k_factorial(), rates_.data(), rates_.data(),
-                      np);
+  ker.poisson_log_pmf_fused(log_pmf.count(), 1.0, log_pmf.log_k_factorial(), rates_.data(),
+                            rates_.data(), np);
   const double max_ll = ker.max_value(rates_.data(), np);
   if (!std::isfinite(max_ll)) return;
 

@@ -9,7 +9,6 @@
 
 #include "radloc/common/math.hpp"
 #include "radloc/concurrency/thread_pool.hpp"
-#include "radloc/radiation/transmission_cache.hpp"
 #include "radloc/sensornet/delivery.hpp"
 #include "radloc/sensornet/simulator.hpp"
 
@@ -140,21 +139,10 @@ ExperimentResult run_experiment(const Scenario& scenario, const ExperimentOption
     streams.push_back(TrialStreams{master.split(), master.split(), master()});
   }
 
-  // Immutable per-scenario state shared across trials: the ground-truth
-  // simulator (Eq. 4 rates memoized at construction) and one transmission
-  // cache prepared serially, up front, for every sensor origin. Both are
-  // only read after this point, so concurrent trials borrow them with no
-  // hot-path synchronization. Values are identical to what each trial would
-  // rebuild for itself — sharing cannot change results.
-  std::optional<MeasurementSimulator> shared_sim;
-  std::optional<TransmissionCache> shared_cache;
-  if (opts.share_scenario_state) {
-    shared_sim.emplace(scenario.env, scenario.sensors, scenario.sources);
-    if (cfg.filter.use_known_obstacles && cfg.filter.use_transmission_cache) {
-      shared_cache.emplace(scenario.env, cfg.filter.transmission_cache_cell);
-      for (const Sensor& s : scenario.sensors) (void)shared_cache->prepare(s.pos);
-    }
-  }
+  // The ground-truth simulator (Eq. 4 rates memoized at construction) is
+  // built once per scenario; trials only read it, so concurrent trials share
+  // it with no hot-path synchronization.
+  const MeasurementSimulator sim(scenario.env, scenario.sensors, scenario.sources);
 
   std::vector<TrialAccum> accums(opts.trials);
   const std::size_t outer =
@@ -176,14 +164,9 @@ ExperimentResult run_experiment(const Scenario& scenario, const ExperimentOption
     Rng noise_rng = streams[trial].noise;
     Rng delivery_rng = streams[trial].delivery;
 
-    std::optional<MeasurementSimulator> own_sim;
-    if (!shared_sim) own_sim.emplace(scenario.env, scenario.sensors, scenario.sources);
-    const MeasurementSimulator& sim = shared_sim ? *shared_sim : *own_sim;
-
     MultiSourceLocalizer localizer(scenario.env, scenario.sensors, cfg,
                                    streams[trial].localizer_seed,
                                    pool ? &*pool : nullptr);
-    if (shared_cache) localizer.filter().set_shared_transmission_cache(&*shared_cache);
     auto delivery = make_delivery(scenario, opts);
 
     for (std::size_t t = 0; t < steps; ++t) {

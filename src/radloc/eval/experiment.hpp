@@ -37,12 +37,6 @@ struct ExperimentOptions {
   /// ExperimentResult field except the wall-clock seconds_per_iteration is
   /// bit-identical at any thread count (pinned by test).
   std::size_t num_threads = 1;
-  /// Share immutable per-scenario state across trials — the ground-truth
-  /// simulator (memoized Eq. 4 rates) and, when the filter uses the
-  /// transmission cache, one fully prepared read-only cache — instead of
-  /// rebuilding both per trial. Bit-identical either way; disable to
-  /// reproduce the seed's rebuild-per-trial cost (the benchmark baseline).
-  bool share_scenario_state = true;
 };
 
 struct ExperimentResult {

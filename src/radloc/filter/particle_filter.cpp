@@ -30,7 +30,6 @@ struct FusionParticleFilter::Scratch {
   simd::AVector<double> x;
   simd::AVector<double> y;
   simd::AVector<double> strength;
-  simd::AVector<double> transmission;
   // per-particle hypothesis rates of the fusion subset
   simd::AVector<double> rates;
   LocalResampler::Scratch resample;
@@ -63,9 +62,6 @@ FusionParticleFilter::FusionParticleFilter(const Environment& env, std::vector<S
   // through process_reading() and never reference a sensor id.
   for (std::size_t i = 0; i < sensors_.size(); ++i) {
     require(sensors_[i].id == i, "sensor ids must be dense and in order");
-  }
-  if (cfg_.use_known_obstacles && cfg_.use_transmission_cache) {
-    cache_ = std::make_unique<TransmissionCache>(*env_, cfg_.transmission_cache_cell);
   }
   initialize_particles(rng);
   stream_key_ = rng();
@@ -159,7 +155,8 @@ std::size_t FusionParticleFilter::process_fused(std::span<const Measurement> gro
   }
   const Sensor& sensor = sensors_[group.front().sensor];
   if (group.size() == 1) {
-    // Bit-for-bit the plain path: 1.0 * lambda is exact, same association.
+    // A group of one is a plain reading: not counted as fused, and allowed
+    // under any movement model.
     return process_reading_impl(sensor.pos, sensor.response, group.front().cpm);
   }
   require(movement_is_static_,
@@ -213,26 +210,13 @@ bool FusionParticleFilter::select_and_rate(Scratch& s, const Point2& at,
     index_.update(positions_, s.subset);
   }
 
-  // A borrowed shared cache (prepared up front, read-only — safe across
-  // concurrent trials) wins over the owned one; origins it lacks fall back
-  // to exact geometry.
-  const TransmissionCache* cache = shared_cache_ != nullptr ? shared_cache_ : cache_.get();
-  const TransmissionCache::Field* field = nullptr;
-  if (shared_cache_ != nullptr) {
-    field = shared_cache_->find(at);
-  } else if (cache_ != nullptr) {
-    field = cache_->prepare(at);
-  }
-
   const std::size_t n = s.subset.size();
   s.rates.resize(n);
 
-  // Rates run through the batch kernels (simd/simd.hpp) whenever the rate
-  // is pure arithmetic: free space, or the cached Eq. (3) path whose
-  // transmissions are bilinear lookups. Obstacle geometry without a cache
-  // field keeps the per-particle exact path. The scalar tier replays the
-  // seed expressions bit for bit; vector tiers are an explicit opt-in.
-  if (cfg_.use_known_obstacles && field == nullptr) {
+  // Known obstacles: exact Eq. (3) geometry, one particle at a time. Free
+  // space: one batch-kernel call (simd/simd.hpp), whose scalar tier replays
+  // the seed expression bit for bit; vector tiers are an explicit opt-in.
+  if (cfg_.use_known_obstacles) {
     for (std::size_t k = 0; k < n; ++k) {
       const auto i = s.subset[k];
       s.rates[k] = expected_cpm_single(at, Source{positions_[i], strengths_[i]}, *env_, response);
@@ -250,16 +234,9 @@ bool FusionParticleFilter::select_and_rate(Scratch& s, const Point2& at,
     s.y[k] = positions_[i].y;
     s.strength[k] = strengths_[i];
   }
-  const simd::Kernels& ker = simd::kernels();
-  const double* transmission = nullptr;
-  if (cfg_.use_known_obstacles) {
-    s.transmission.resize(n);
-    ker.bilinear(cache->grid_view(*field), s.x.data(), s.y.data(), s.transmission.data(), n);
-    transmission = s.transmission.data();
-  }
-  ker.hypothesis_rates(at.x, at.y, kMicroCurieToCpm * response.efficiency,
-                       response.background_cpm, s.x.data(), s.y.data(), s.strength.data(),
-                       transmission, s.rates.data(), n);
+  simd::kernels().hypothesis_rates(at.x, at.y, kMicroCurieToCpm * response.efficiency,
+                                   response.background_cpm, s.x.data(), s.y.data(),
+                                   s.strength.data(), s.rates.data(), n);
   return true;
 }
 
@@ -285,11 +262,7 @@ std::size_t FusionParticleFilter::apply_scores(Scratch& s, double k_sum, double 
   post.resize(n);
   simd::assert_vector_aligned(post.data());
   const simd::Kernels& ker = simd::kernels();
-  if (reps != 1.0) {
-    ker.poisson_log_pmf_fused(k_sum, reps, log_fact_sum, s.rates.data(), post.data(), n);
-  } else {
-    ker.poisson_log_pmf(k_sum, log_fact_sum, s.rates.data(), post.data(), n);
-  }
+  ker.poisson_log_pmf_fused(k_sum, reps, log_fact_sum, s.rates.data(), post.data(), n);
 
   const double max_ll = ker.max_value(post.data(), n);
   if (!std::isfinite(max_ll)) return 0;  // measurement impossible for all hypotheses

@@ -30,7 +30,6 @@
 #include "radloc/geom/slotted_grid_index.hpp"
 #include "radloc/obs/trace.hpp"
 #include "radloc/radiation/environment.hpp"
-#include "radloc/radiation/transmission_cache.hpp"
 #include "radloc/rng/rng.hpp"
 #include "radloc/sensornet/sensor.hpp"
 #include "radloc/sensornet/validation.hpp"
@@ -129,20 +128,6 @@ class FusionParticleFilter {
   /// single-threaded tracer contract (obs/trace.hpp).
   void set_stage_tracer(obs::StageTracer* tracer) { tracer_ = tracer; }
 
-  /// The per-sensor transmission cache, if cfg enabled one (diagnostics).
-  [[nodiscard]] const TransmissionCache* transmission_cache() const { return cache_.get(); }
-
-  /// Borrows an externally owned, fully prepared transmission cache instead
-  /// of this filter's own lazily built one — run_experiment's per-scenario
-  /// shared read-only state: the fields depend only on the environment and
-  /// sensor origins, so concurrent trials can share one cache with no
-  /// hot-path synchronization. The cache must be built over the same
-  /// environment and cell size as cfg would build, prepared (serially, up
-  /// front) for every origin the filter will query, and must outlive the
-  /// filter. Origins the shared cache lacks fall back to exact geometry;
-  /// nullptr restores the owned cache.
-  void set_shared_transmission_cache(const TransmissionCache* cache) { shared_cache_ = cache; }
-
   /// Ingestion validator: per-fault accept/reject tallies for everything fed
   /// through process()/try_process()/process_reading().
   [[nodiscard]] const MeasurementValidator& validator() const { return validator_; }
@@ -192,8 +177,8 @@ class FusionParticleFilter {
   /// Scores s.rates against the (fused) counts and applies the mass-
   /// preserving weight update + ESS-gated resample. `k_sum`/`reps`/
   /// `log_fact_sum` describe the reading group (reps == 1 for a single
-  /// reading — the plain single-k expression). Returns |P'| or 0 on a
-  /// degenerate update.
+  /// reading, where 1.0 * lambda is exact, so the score is the plain
+  /// single-k expression). Returns |P'| or 0 on a degenerate update.
   std::size_t apply_scores(Scratch& s, double k_sum, double reps, double log_fact_sum);
 
   const Environment* env_;
@@ -204,8 +189,6 @@ class FusionParticleFilter {
   Rng rng_;  ///< the current reading's stream
   MeasurementValidator validator_;
   obs::StageTracer* tracer_ = nullptr;  ///< null = tracing off (the default)
-  std::unique_ptr<TransmissionCache> cache_;
-  const TransmissionCache* shared_cache_ = nullptr;  ///< wins over cache_ when set
 
   // SoA particle state, 32-byte aligned for the batch kernels.
   simd::AVector<Point2> positions_;

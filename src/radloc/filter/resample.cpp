@@ -86,6 +86,12 @@ namespace {
 constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
 constexpr std::uint32_t kKept = kNone - 1;
 
+// Multiplicative log-normal jitter on a duplicated particle's strength:
+// strength *= exp(N(0, sigma)). The paper jitters "the duplicated
+// particles" without giving a strength value; a relative jitter keeps the
+// 4-1000 uCi range scale-free.
+constexpr double kStrengthJitterSigma = 0.10;
+
 }  // namespace
 
 LocalResampler::LocalResampler(const FilterConfig& cfg, const AreaBounds& bounds)
@@ -98,10 +104,7 @@ LocalResampler::LocalResampler(const FilterConfig& cfg, const AreaBounds& bounds
 Point2 LocalResampler::random_position(Rng& rng) const { return uniform_point(rng, bounds_); }
 
 double LocalResampler::random_strength(Rng& rng) const {
-  if (cfg_.log_uniform_strength) {
-    return std::exp(uniform(rng, log_strength_min_, log_strength_max_));
-  }
-  return uniform(rng, cfg_.strength_min, cfg_.strength_max);
+  return std::exp(uniform(rng, log_strength_min_, log_strength_max_));
 }
 
 std::size_t LocalResampler::replacement_gap(Rng& rng, std::size_t cap) const {
@@ -146,10 +149,8 @@ void LocalResampler::resample(Rng& rng, std::span<const std::uint32_t> subset,
       d.pos.x += normal(rng, 0.0, cfg_.resample_noise_sigma);
       d.pos.y += normal(rng, 0.0, cfg_.resample_noise_sigma);
       d.pos = bounds_.clamp(d.pos);
-      if (cfg_.strength_jitter_sigma > 0.0) {
-        d.strength *= std::exp(normal(rng, 0.0, cfg_.strength_jitter_sigma));
-        d.strength = std::clamp(d.strength, cfg_.strength_min, cfg_.strength_max);
-      }
+      d.strength *= std::exp(normal(rng, 0.0, kStrengthJitterSigma));
+      d.strength = std::clamp(d.strength, cfg_.strength_min, cfg_.strength_max);
       drawn.push_back(d);
     }
     prev = pick;

@@ -62,7 +62,7 @@ class LocalResampler {
   LocalResampler(const FilterConfig& cfg, const AreaBounds& bounds);
 
   /// A fresh particle from the prior: a uniform position in the bounds, and
-  /// a strength uniform (or log-uniform) over [strength_min, strength_max].
+  /// a strength log-uniform over [strength_min, strength_max].
   [[nodiscard]] Point2 random_position(Rng& rng) const;
   [[nodiscard]] double random_strength(Rng& rng) const;
 

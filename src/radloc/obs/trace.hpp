@@ -59,8 +59,7 @@ struct TraceEvent {
 class TraceSink {
  public:
   static constexpr std::size_t kDefaultCapacity = 8192;
-  /// Default sampling: every 16th span. The committed telemetry-overhead
-  /// baseline (BENCH_telemetry_overhead.json) is measured at this rate.
+  /// Default sampling: every 16th span.
   static constexpr std::uint64_t kDefaultSampleInterval = 16;
 
   explicit TraceSink(std::size_t capacity = kDefaultCapacity,

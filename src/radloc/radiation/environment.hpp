@@ -32,7 +32,8 @@ class Environment {
   }
 
   /// Monotone counter bumped on every obstacle change. Memoizing layers
-  /// (e.g. TransmissionCache) compare it to detect a stale snapshot.
+  /// (the simulator's rate table, the localizer's estimate memo) compare it
+  /// to detect a stale snapshot.
   [[nodiscard]] std::uint64_t revision() const { return revision_; }
 
   /// Sum over obstacles of mu_b * l_b along the straight path `seg` — the

@@ -60,20 +60,10 @@ std::atomic<int> g_forced{-1};
 
 std::array<Kernels, 3> build_tables() {
   const Kernels& s = *scalar_kernels();
-  const auto patched = [&s](const Kernels* k) {
-    if (k == nullptr) return s;  // tier not in this build (unreachable via clamp)
-    Kernels out = *k;
-    if (out.poisson_log_pmf == nullptr) out.poisson_log_pmf = s.poisson_log_pmf;
-    if (out.poisson_log_pmf_multi == nullptr) out.poisson_log_pmf_multi = s.poisson_log_pmf_multi;
-    if (out.poisson_log_pmf_fused == nullptr) out.poisson_log_pmf_fused = s.poisson_log_pmf_fused;
-    if (out.hypothesis_rates == nullptr) out.hypothesis_rates = s.hypothesis_rates;
-    if (out.bilinear == nullptr) out.bilinear = s.bilinear;
-    if (out.max_value == nullptr) out.max_value = s.max_value;
-    if (out.exp_shifted == nullptr) out.exp_shifted = s.exp_shifted;
-    if (out.meanshift_profile == nullptr) out.meanshift_profile = s.meanshift_profile;
-    return out;
-  };
-  return {s, patched(sse2_kernels()), patched(avx2_kernels())};
+  // Every tier fills every slot. A tier not in this build (unreachable via
+  // the clamp) repeats the scalar table.
+  const auto or_scalar = [&s](const Kernels* k) { return k != nullptr ? *k : s; };
+  return {s, or_scalar(sse2_kernels()), or_scalar(avx2_kernels())};
 }
 
 }  // namespace

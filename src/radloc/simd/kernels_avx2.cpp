@@ -1,6 +1,5 @@
-// AVX2 kernel tier: 4 double lanes plus a hardware-gather bilinear for the
-// TransmissionCache lookups. This file is compiled with -mavx2 when the
-// toolchain targets x86 (see src/CMakeLists.txt); elsewhere the flag is
+// AVX2 kernel tier: 4 double lanes. This file is compiled with -mavx2 when
+// the toolchain targets x86 (see src/CMakeLists.txt); elsewhere the flag is
 // absent, __AVX2__ is undefined, and avx2_kernels() reports the tier as
 // unavailable. Nothing here executes unless runtime detection (or an
 // explicit opt-in clamped by detection) selects the tier, so building the
@@ -60,71 +59,6 @@ inline VI visrl(VI a, int count) { return {_mm256_srli_epi64(a.v, count)}; }
 
 #include "radloc/simd/kernels_vec.inl"
 
-// Batched bilinear lookups with hardware gathers. Exact: every operation
-// (clamp, truncate, fractional split, 2x2 blend) reproduces the scalar
-// expression order of TransmissionCache::transmission bit for bit.
-void k_bilinear(const BilinearGrid& g, const double* x, const double* y, double* out,
-                std::size_t n) {
-  const __m256d vminx = _mm256_set1_pd(g.min_x);
-  const __m256d vminy = _mm256_set1_pd(g.min_y);
-  const __m256d vinvdx = _mm256_set1_pd(g.inv_dx);
-  const __m256d vinvdy = _mm256_set1_pd(g.inv_dy);
-  const __m256d vnx = _mm256_set1_pd(static_cast<double>(g.nx));
-  const __m256d vny = _mm256_set1_pd(static_cast<double>(g.ny));
-  const __m128i imax_x = _mm_set1_epi32(static_cast<int>(g.nx) - 1);
-  const __m128i imax_y = _mm_set1_epi32(static_cast<int>(g.ny) - 1);
-  const __m128i irow = _mm_set1_epi32(static_cast<int>(g.nx) + 1);
-  const __m128i ione = _mm_set1_epi32(1);
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d one = _mm256_set1_pd(1.0);
-
-  const auto run = [&](const double* xp, const double* yp, double* o) {
-    const __m256d u = _mm256_min_pd(
-        _mm256_max_pd(_mm256_mul_pd(_mm256_sub_pd(_mm256_loadu_pd(xp), vminx), vinvdx), zero),
-        vnx);
-    const __m256d v = _mm256_min_pd(
-        _mm256_max_pd(_mm256_mul_pd(_mm256_sub_pd(_mm256_loadu_pd(yp), vminy), vinvdy), zero),
-        vny);
-    const __m128i ci = _mm_min_epi32(_mm256_cvttpd_epi32(u), imax_x);
-    const __m128i cj = _mm_min_epi32(_mm256_cvttpd_epi32(v), imax_y);
-    const __m256d fu = _mm256_sub_pd(u, _mm256_cvtepi32_pd(ci));
-    const __m256d fv = _mm256_sub_pd(v, _mm256_cvtepi32_pd(cj));
-    const __m128i row = _mm_add_epi32(_mm_mullo_epi32(cj, irow), ci);
-    // Masked gather with an all-ones mask: same loads, but the unmasked
-    // intrinsic's GCC header reads an uninitialized pass-through source
-    // (-Wmaybe-uninitialized noise).
-    const __m256d allset = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-    const auto gather = [&](__m128i idx) {
-      return _mm256_mask_i32gather_pd(zero, g.nodes, idx, allset, 8);
-    };
-    const __m256d t00 = gather(row);
-    const __m256d t10 = gather(_mm_add_epi32(row, ione));
-    const __m128i row1 = _mm_add_epi32(row, irow);
-    const __m256d t01 = gather(row1);
-    const __m256d t11 = gather(_mm_add_epi32(row1, ione));
-    const __m256d gu = _mm256_sub_pd(one, fu);
-    const __m256d a = _mm256_add_pd(_mm256_mul_pd(gu, t00), _mm256_mul_pd(fu, t10));
-    const __m256d b = _mm256_add_pd(_mm256_mul_pd(gu, t01), _mm256_mul_pd(fu, t11));
-    _mm256_storeu_pd(
-        o, _mm256_add_pd(_mm256_mul_pd(_mm256_sub_pd(one, fv), a), _mm256_mul_pd(fv, b)));
-  };
-
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) run(x + i, y + i, out + i);
-  if (i < n) {
-    double tx[kLanes];
-    double ty[kLanes];
-    double to[kLanes];
-    const std::size_t r = n - i;
-    for (std::size_t j = 0; j < kLanes; ++j) {
-      tx[j] = j < r ? x[i + j] : g.min_x;  // padded lanes gather node (0,0)
-      ty[j] = j < r ? y[i + j] : g.min_y;
-    }
-    run(tx, ty, to);
-    for (std::size_t j = 0; j < r; ++j) out[i + j] = to[j];
-  }
-}
-
 }  // namespace avx2_impl
 
 namespace {
@@ -134,11 +68,9 @@ namespace {
 constexpr Kernels kAvx2Table{
     Tier::kAvx2,
     "avx2",
-    &avx2_impl::k_poisson_log_pmf,
     &avx2_impl::k_poisson_log_pmf_multi,
     &avx2_impl::k_poisson_log_pmf_fused,
     &avx2_impl::k_hypothesis_rates,
-    &avx2_impl::k_bilinear,
     &avx2_impl::k_max_value,
     &avx2_impl::k_exp_shifted,
     &avx2_impl::k_meanshift_profile,

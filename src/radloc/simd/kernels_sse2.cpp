@@ -1,9 +1,7 @@
 // SSE2 kernel tier: 2 double lanes. Compiled into every build; the vector
 // body only exists when the compiler targets x86 with SSE2 (always true for
 // x86-64), otherwise sse2_kernels() reports the tier as unavailable and
-// dispatch falls back to scalar. SSE2 has no hardware gather, so the
-// bilinear slot is left null and dispatch patches in the scalar version
-// (bilinear is exact arithmetic in every tier, nothing is lost).
+// dispatch falls back to scalar.
 #include "radloc/simd/simd.hpp"
 
 #if defined(__SSE2__) || defined(_M_X64)
@@ -67,11 +65,9 @@ namespace {
 constexpr Kernels kSse2Table{
     Tier::kSse2,
     "sse2",
-    &sse2_impl::k_poisson_log_pmf,
     &sse2_impl::k_poisson_log_pmf_multi,
     &sse2_impl::k_poisson_log_pmf_fused,
     &sse2_impl::k_hypothesis_rates,
-    nullptr,  // bilinear: scalar patched in by dispatch (exact either way)
     &sse2_impl::k_max_value,
     &sse2_impl::k_exp_shifted,
     &sse2_impl::k_meanshift_profile,

@@ -10,7 +10,7 @@
 //           (std::log / std::exp, same expression order); compiled on every
 //           platform.
 //   sse2    2-lane vector tier (x86 only).
-//   avx2    4-lane vector tier (x86 only; adds gathered bilinear lookups).
+//   avx2    4-lane vector tier (x86 only).
 //
 // Determinism policy (DESIGN.md §5.7): the DEFAULT tier is scalar, so a
 // build that never touches the knob evaluates every kernel with the seed's
@@ -19,8 +19,8 @@
 // programmatically — and replace
 // libm log/exp with polynomial vector versions accurate to ~1 ulp relative;
 // the parity suite (tests/test_simd.cpp) pins them against scalar at
-// tolerance. Everything else in the tables (rates, bilinear interpolation,
-// max scans, Epanechnikov) is exact elementwise arithmetic and stays
+// tolerance. Everything else in the tables (rates, max scans,
+// Epanechnikov) is exact elementwise arithmetic and stays
 // bit-identical across tiers. All kernels are elementwise (remainder lanes
 // are computed through the same vector path via a padded tail), so results
 // do not depend on how a caller chunks a range — thread-count determinism
@@ -39,61 +39,37 @@ namespace radloc::simd {
 
 enum class Tier : int { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
 
-/// A prepared bilinear node grid (TransmissionCache field view):
-/// `nodes` is (nx+1) x (ny+1) values, row-major in y.
-struct BilinearGrid {
-  const double* nodes = nullptr;
-  std::size_t nx = 0;  ///< cell count in x (nodes per row: nx + 1)
-  std::size_t ny = 0;  ///< cell count in y
-  double min_x = 0.0;
-  double min_y = 0.0;
-  double inv_dx = 0.0;
-  double inv_dy = 0.0;
-};
-
 /// One tier's kernel table. All array arguments may overlap only where a
 /// parameter is documented as in/out; `n` may be 0.
 struct Kernels {
   Tier tier;
   const char* name;
 
-  /// out[i] = k*log(lambda[i]) - lambda[i] - log_k_factorial, with the
-  /// PoissonLogPmf edge semantics: k < 0 -> -inf; lambda <= 0 -> (k == 0 ?
-  /// 0 : -inf); NaN/inf lambda propagate exactly as the scalar expression.
-  /// `out` may fully alias `lambda` (rates are scored in place).
-  void (*poisson_log_pmf)(double k, double log_k_factorial, const double* lambda, double* out,
-                          std::size_t n);
-
-  /// Per-element-k variant (MLE: one count per measurement):
+  /// Per-element-k Poisson log-PMF (MLE: one count per measurement):
   /// out[i] = k[i]*log(lambda[i]) - lambda[i] - log_k_factorial[i].
   /// `out` may fully alias `lambda`, but not `k`/`log_k_factorial`.
   void (*poisson_log_pmf_multi)(const double* k, const double* log_k_factorial,
                                 const double* lambda, double* out, std::size_t n);
 
-  /// Fused multi-reading variant (the filter's same-sensor batch path): the
-  /// summed log-PMF of `reps` readings that share one rate per element,
+  /// Shared-count Poisson log-PMF: the summed log-PMF of `reps` readings
+  /// that share one rate per element,
   /// out[i] = k_sum*log(lambda[i]) - reps*lambda[i] - log_fact_sum
   /// with k_sum = sum of the counts and log_fact_sum = sum of their log(k!)
-  /// terms. Edge semantics follow the per-reading sum: k_sum < 0 -> -inf;
-  /// lambda <= 0 -> (k_sum == 0 ? 0 : -inf); NaN/inf lambda propagate as the
-  /// scalar expression. With reps == 1 this reproduces poisson_log_pmf bit
-  /// for bit (1.0 * lambda is exact). `out` may fully alias `lambda`.
+  /// terms. One reading is reps == 1, where 1.0 * lambda is exact, so the
+  /// result is PoissonLogPmf's k*log(lambda) - lambda - log(k!) bit for bit
+  /// (scalar tier). Edge semantics follow the per-reading sum: k_sum < 0 ->
+  /// -inf; lambda <= 0 -> (k_sum == 0 ? 0 : -inf); NaN/inf lambda propagate
+  /// as the scalar expression. `out` may fully alias `lambda` (rates are
+  /// scored in place).
   void (*poisson_log_pmf_fused)(double k_sum, double reps, double log_fact_sum,
                                 const double* lambda, double* out, std::size_t n);
 
-  /// Eq. (4) single-source hypothesis rates from SoA particle arrays:
-  /// out[i] = scale * (s[i] / (1 + (x[i]-ax)^2 + (y[i]-ay)^2)) [* t[i]] + b
-  /// with the exact association of expected_cpm_single_free_space /
-  /// the cached-Eq.(3) path (scale = kMicroCurieToCpm * efficiency).
-  /// `transmission` may be nullptr (free space). Exact in every tier.
+  /// Eq. (4) free-space single-source hypothesis rates from SoA particle
+  /// arrays: out[i] = scale * (s[i] / (1 + (x[i]-ax)^2 + (y[i]-ay)^2)) + b
+  /// with the exact association of expected_cpm_single_free_space
+  /// (scale = kMicroCurieToCpm * efficiency). Exact in every tier.
   void (*hypothesis_rates)(double ax, double ay, double scale, double background, const double* x,
-                           const double* y, const double* strength, const double* transmission,
-                           double* out, std::size_t n);
-
-  /// Batched TransmissionCache bilinear lookups (exact in every tier;
-  /// AVX2 uses hardware gathers). Targets clamp to the boundary nodes.
-  void (*bilinear)(const BilinearGrid& g, const double* x, const double* y, double* out,
-                   std::size_t n);
+                           const double* y, const double* strength, double* out, std::size_t n);
 
   /// NaN-skipping max scan matching `if (v > m) m = v` from m = -inf.
   /// Exact in every tier. Returns -inf for n == 0.
@@ -142,8 +118,7 @@ void reset_tier();
 /// The active tier's kernel table (one-time-resolved dispatch).
 [[nodiscard]] const Kernels& kernels();
 
-/// A specific tier's table, clamped to detected_tier(); tiers that do not
-/// implement a kernel natively inherit the scalar version (exact anyway).
+/// A specific tier's table, clamped to detected_tier().
 [[nodiscard]] const Kernels& kernels_for(Tier t);
 
 [[nodiscard]] const char* tier_name(Tier t);

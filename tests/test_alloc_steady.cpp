@@ -25,6 +25,7 @@
 #include "radloc/concurrency/thread_pool.hpp"
 #include "radloc/core/localizer.hpp"
 #include "radloc/filter/particle_filter.hpp"
+#include "radloc/geom/polygon.hpp"
 #include "radloc/sensornet/placement.hpp"
 #include "radloc/sensornet/simulator.hpp"
 
@@ -98,16 +99,18 @@ long count_allocs_during_one_pass(FusionParticleFilter& filter,
   return g_alloc_count.load();
 }
 
-void run_steady_state_scenario(bool cached_obstacles) {
+void run_steady_state_scenario(bool known_obstacles) {
+  // The known-obstacle run has a real U-shaped wall in the area, so the
+  // rays that cross it walk the exact chord-length geometry.
   Environment env(make_area(60, 60));
+  if (known_obstacles) env.add_obstacle(Obstacle(make_u_shape(25, 22, 40, 45, 2.0), 0.2));
   auto sensors = place_grid(env.bounds(), 4, 4);
   set_background(sensors, 5.0);
 
   FilterConfig cfg;
   cfg.num_particles = 1500;
   cfg.fusion_range = 200.0;  // covers the whole area: |P'| is deterministic
-  cfg.use_known_obstacles = cached_obstacles;
-  cfg.use_transmission_cache = cached_obstacles;
+  cfg.use_known_obstacles = known_obstacles;
   FusionParticleFilter filter(env, sensors, cfg, Rng(11));
 
   MeasurementSimulator sim(env, sensors, {{{20, 40}, 50.0}, {{45, 15}, 50.0}});
@@ -117,21 +120,20 @@ void run_steady_state_scenario(bool cached_obstacles) {
     for (const auto& m : sim.sample_time_step(noise)) stream.push_back(m);
   }
 
-  // Warm-up: builds the transmission fields (when enabled) and grows every
-  // scratch buffer to its steady-state capacity.
+  // Warm-up: grows every scratch buffer to its steady-state capacity.
   for (const auto& m : stream) (void)filter.process(m);
 
   const long allocs = count_allocs_during_one_pass(filter, stream);
   EXPECT_EQ(allocs, 0) << "per-reading path allocated at steady state"
-                       << " (cached_obstacles=" << cached_obstacles << ")";
+                       << " (known_obstacles=" << known_obstacles << ")";
 }
 
 TEST(SteadyStateAllocation, FreeSpaceReadingsAreAllocationFree) {
-  run_steady_state_scenario(/*cached_obstacles=*/false);
+  run_steady_state_scenario(/*known_obstacles=*/false);
 }
 
-TEST(SteadyStateAllocation, CachedObstacleReadingsAreAllocationFree) {
-  run_steady_state_scenario(/*cached_obstacles=*/true);
+TEST(SteadyStateAllocation, KnownObstacleReadingsAreAllocationFree) {
+  run_steady_state_scenario(/*known_obstacles=*/true);
 }
 
 TEST(SteadyStateAllocation, FusedReadingsAreAllocationFree) {

@@ -243,8 +243,8 @@ void expect_identical(const ExperimentResult& a, const ExperimentResult& b) {
   // seconds_per_iteration is wall clock and intentionally excluded.
 }
 
-// The tentpole contract of the parallel trial runner: any thread count and
-// either sharing mode produce bit-identical metrics to the serial seed path.
+// The core contract of the parallel trial runner: any thread count
+// produces bit-identical metrics to the serial loop.
 TEST(ExperimentParallel, EightThreadsBitIdenticalToSerial) {
   const Scenario scenario = make_scenario_a(10.0, 5.0, false);
   ExperimentOptions serial;
@@ -252,45 +252,33 @@ TEST(ExperimentParallel, EightThreadsBitIdenticalToSerial) {
   serial.time_steps = 5;
   serial.seed = 21;
   serial.num_threads = 1;
-  serial.share_scenario_state = false;  // the seed configuration
   const auto ref = run_experiment(scenario, serial);
 
   for (const std::size_t threads : {2u, 8u}) {
     ExperimentOptions opts = serial;
     opts.num_threads = threads;
-    opts.share_scenario_state = true;
     SCOPED_TRACE(::testing::Message() << threads << " threads");
     expect_identical(ref, run_experiment(scenario, opts));
   }
 }
 
-TEST(ExperimentParallel, SharedStateBitIdenticalWithObstaclesAndCache) {
-  // Obstacle scenario with the transmission cache on: the shared per-
-  // scenario cache and simulator rate table must reproduce the per-trial
-  // rebuilds exactly.
+TEST(ExperimentParallel, KnownObstaclesBitIdenticalAcrossThreadCounts) {
+  // Obstacle scenario scored by exact known-obstacle geometry: trials that
+  // share the scenario's simulator across 8 threads must reproduce the
+  // serial loop exactly.
   const Scenario scenario = make_scenario_a3(10.0, 5.0, /*with_obstacle=*/true);
-  ExperimentOptions base;
-  base.trials = 3;
-  base.time_steps = 4;
-  base.seed = 9;
-  base.localizer.filter.use_known_obstacles = true;
-  base.localizer.filter.use_transmission_cache = true;
-  base.use_scenario_defaults = false;
-
-  ExperimentOptions serial = base;
+  ExperimentOptions serial;
+  serial.trials = 3;
+  serial.time_steps = 4;
+  serial.seed = 9;
+  serial.localizer.filter.use_known_obstacles = true;
+  serial.use_scenario_defaults = false;
   serial.num_threads = 1;
-  serial.share_scenario_state = false;
   const auto ref = run_experiment(scenario, serial);
 
-  ExperimentOptions shared_serial = base;
-  shared_serial.num_threads = 1;
-  shared_serial.share_scenario_state = true;
-  expect_identical(ref, run_experiment(scenario, shared_serial));
-
-  ExperimentOptions shared_parallel = base;
-  shared_parallel.num_threads = 8;
-  shared_parallel.share_scenario_state = true;
-  expect_identical(ref, run_experiment(scenario, shared_parallel));
+  ExperimentOptions parallel = serial;
+  parallel.num_threads = 8;
+  expect_identical(ref, run_experiment(scenario, parallel));
 }
 
 TEST(ExperimentParallel, MoreThreadsThanTrials) {

@@ -431,29 +431,26 @@ TEST(FusionFilter, LocalizerEstimatesBitIdenticalAcrossThreadCounts) {
   // The determinism contract over the public entry point. Readings apply on
   // the calling thread; the borrowed pool fans out only mean-shift's ascents
   // and basin-support chunks, and neither may let the pool's size reach the
-  // particles or the estimates. Each rate mode (free space, cached obstacles,
-  // exact obstacles) runs at the scalar tier and at the host's detected
-  // tier, on pools built with forced fan-out so the queued dispatch path
-  // runs even on single-core hosts.
+  // particles or the estimates. Each rate mode (free space, exact known
+  // obstacles) runs at the scalar tier and at the host's detected tier, on
+  // pools built with forced fan-out so the queued dispatch path runs even
+  // on single-core hosts.
   struct Mode {
     const char* name;
     bool obstacles;
-    bool transmission_cache;
   };
   Environment env(make_area(100, 100), {Obstacle(make_u_shape(38, 35, 62, 60, 2.0), 0.2)});
   const auto sensors = test_sensors(env);
   std::vector<simd::Tier> tiers{simd::Tier::kScalar};
   if (simd::detected_tier() != simd::Tier::kScalar) tiers.push_back(simd::detected_tier());
 
-  for (const Mode mode : {Mode{"free", false, false}, Mode{"cached", true, true},
-                          Mode{"exact", true, false}}) {
+  for (const Mode mode : {Mode{"free", false}, Mode{"exact", true}}) {
     for (const simd::Tier tier : tiers) {
       SCOPED_TRACE(::testing::Message() << mode.name << ", " << simd::tier_name(tier));
       simd::force_tier(tier);
       LocalizerConfig cfg;
       cfg.filter.num_particles = 1500;
       cfg.filter.use_known_obstacles = mode.obstacles;
-      cfg.filter.use_transmission_cache = mode.transmission_cache;
 
       struct Run {
         std::size_t threads;

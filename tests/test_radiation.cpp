@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 
 #include "radloc/geom/polygon.hpp"
@@ -8,7 +7,6 @@
 #include "radloc/radiation/intensity_model.hpp"
 #include "radloc/radiation/materials.hpp"
 #include "radloc/radiation/source.hpp"
-#include "radloc/radiation/transmission_cache.hpp"
 #include "radloc/sensornet/sensor.hpp"
 
 namespace radloc {
@@ -143,100 +141,6 @@ TEST(ExpectedCpm, EfficiencyScalesSourceTermOnly) {
 TEST(ObstacleType, MaterialConstructorUsesTable) {
   const Obstacle o(make_rect(0, 0, 1, 1), Material::kLead);
   EXPECT_DOUBLE_EQ(o.mu(), attenuation_coefficient(Material::kLead));
-}
-
-TEST(TransmissionCache, ExactAtGridNodesAndFreeSpace) {
-  Environment env(make_area(100, 100), {Obstacle(make_u_shape(38, 35, 62, 60, 2.0), 0.2)});
-  TransmissionCache cache(env, /*cell_size=*/2.0);
-  const Point2 origin{25.0, 50.0};
-  const auto* field = cache.prepare(origin);
-  ASSERT_NE(field, nullptr);
-  // Grid nodes hold the exact transmission; querying a node reproduces it.
-  for (double x : {0.0, 2.0, 40.0, 98.0, 100.0}) {
-    for (double y : {0.0, 36.0, 58.0, 100.0}) {
-      EXPECT_DOUBLE_EQ(cache.transmission(*field, {x, y}),
-                       env.transmission(Segment{origin, {x, y}}));
-    }
-  }
-  // With no obstacle in the way, interpolating between all-ones nodes is 1.
-  EXPECT_DOUBLE_EQ(cache.transmission(*field, {25.7, 50.3}), 1.0);
-}
-
-TEST(TransmissionCache, InterpolationErrorBounded) {
-  Environment env(make_area(100, 100), {Obstacle(make_u_shape(38, 35, 62, 60, 2.0), 0.2)});
-  const Point2 origin{25.0, 50.0};
-
-  TransmissionCache cache(env, /*cell_size=*/1.0);
-  const auto* field = cache.prepare(origin);
-  ASSERT_NE(field, nullptr);
-  double max_err = 0.0;
-  for (double x = 0.45; x < 100.0; x += 1.37) {
-    for (double y = 0.55; y < 100.0; y += 1.73) {
-      const double exact = env.transmission(Segment{origin, Point2{x, y}});
-      const double approx = cache.transmission(*field, Point2{x, y});
-      max_err = std::max(max_err, std::abs(exact - approx));
-    }
-  }
-  // Transmission is continuous in the target with kinks at obstacle
-  // silhouettes, so bilinear error is O(cell) near those lines and far
-  // smaller elsewhere. At a 1 m cell the worst sampled error stays well
-  // under the ~0.33 full contrast of this obstacle (exp(-0.4) per wall).
-  EXPECT_LT(max_err, 0.08);
-}
-
-TEST(TransmissionCache, RebuildsWhenEnvironmentChanges) {
-  Environment env(make_area(100, 100));
-  TransmissionCache cache(env, /*cell_size=*/2.0);
-  const Point2 origin{10.0, 50.0};
-  const auto* field = cache.prepare(origin);
-  ASSERT_NE(field, nullptr);
-  const Point2 behind{90.0, 50.0};
-  EXPECT_DOUBLE_EQ(cache.transmission(*field, behind), 1.0);
-  EXPECT_EQ(cache.field_count(), 1u);
-
-  // Adding an obstacle bumps the environment revision; the next prepare()
-  // drops every stale field and rebuilds against the new geometry.
-  env.add_obstacle(Obstacle(make_rect(40, 0, 44, 100), 0.2));
-  field = cache.prepare(origin);
-  ASSERT_NE(field, nullptr);
-  EXPECT_EQ(cache.field_count(), 1u);
-  EXPECT_DOUBLE_EQ(cache.transmission(*field, behind),
-                   env.transmission(Segment{origin, behind}));
-  EXPECT_LT(cache.transmission(*field, behind), 1.0);
-}
-
-TEST(TransmissionCache, PreparedFieldPointerIsStableAcrossLaterPrepares) {
-  // Regression: prepare() hands out a Field* that the filter holds for the
-  // whole weight update while other sensors' fields are being prepared.
-  // Field storage used to be a std::vector, so a later prepare() could
-  // reallocate and leave the held pointer dangling (a use-after-free that
-  // ASan catches on the reads below).
-  Environment env(make_area(100, 100), {Obstacle(make_rect(40, 0, 60, 100), 0.2)});
-  constexpr std::size_t kMaxFields = 8;
-  TransmissionCache cache(env, /*cell_size=*/5.0, kMaxFields);
-
-  const Point2 origin{10.0, 10.0};
-  const auto* held = cache.prepare(origin);
-  ASSERT_NE(held, nullptr);
-  const Point2 probe{90.0, 50.0};
-  const double baseline = cache.transmission(*held, probe);
-
-  for (std::size_t k = 1; k < kMaxFields; ++k) {
-    ASSERT_NE(cache.prepare(Point2{10.0 + 10.0 * static_cast<double>(k), 10.0}), nullptr);
-    ASSERT_EQ(held->origin, origin) << "after prepare " << k;
-    ASSERT_EQ(cache.transmission(*held, probe), baseline) << "after prepare " << k;
-  }
-  EXPECT_EQ(cache.prepare(origin), held);  // repeat prepare: the same storage
-}
-
-TEST(TransmissionCache, FieldCapDeclinesNewOrigins) {
-  Environment env(make_area(100, 100));
-  TransmissionCache cache(env, /*cell_size=*/10.0, /*max_fields=*/2);
-  EXPECT_NE(cache.prepare({10.0, 10.0}), nullptr);
-  EXPECT_NE(cache.prepare({20.0, 10.0}), nullptr);
-  EXPECT_EQ(cache.prepare({30.0, 10.0}), nullptr);  // over the cap: caller falls back
-  EXPECT_NE(cache.prepare({10.0, 10.0}), nullptr);  // known origins still served
-  EXPECT_EQ(cache.field_count(), 2u);
 }
 
 }  // namespace

@@ -2,14 +2,13 @@
 //
 // Contract under test (DESIGN.md §5.7):
 //   * the scalar tier replays the seed's per-element expressions bit for
-//     bit (PoissonLogPmf, expected_cpm_single_free_space, the cached
-//     Eq. (3) rate, TransmissionCache::transmission, max scan, exp);
+//     bit (PoissonLogPmf, expected_cpm_single_free_space, max scan, exp);
 //   * vector tiers match scalar exactly on every special value (lambda
 //     <= 0, denormals, inf, NaN, k = 0, k < 0, out-of-range exp args) —
 //     those lanes are patched with the scalar expression — and to ~1 ulp
 //     relative on in-range log/exp;
-//   * everything that is pure arithmetic (rates, bilinear, max,
-//     Epanechnikov) is bit-identical across ALL tiers;
+//   * everything that is pure arithmetic (rates, max, Epanechnikov) is
+//     bit-identical across ALL tiers;
 //   * remainder lanes (n % width != 0) go through the same padded vector
 //     path, so results never depend on how a range is chunked.
 #include <gtest/gtest.h>
@@ -29,7 +28,6 @@
 #include "radloc/geom/polygon.hpp"
 #include "radloc/meanshift/meanshift.hpp"
 #include "radloc/radiation/intensity_model.hpp"
-#include "radloc/radiation/transmission_cache.hpp"
 #include "radloc/rng/distributions.hpp"
 #include "radloc/sensornet/placement.hpp"
 #include "radloc/sensornet/simulator.hpp"
@@ -100,8 +98,8 @@ TEST(SimdDispatch, TablesReportTheirOwnTier) {
     const simd::Kernels& k = simd::kernels_for(t);
     EXPECT_EQ(k.tier, t);
     EXPECT_STREQ(k.name, simd::tier_name(t));
-    EXPECT_NE(k.poisson_log_pmf, nullptr);
-    EXPECT_NE(k.bilinear, nullptr);  // tiers without a native one inherit scalar
+    EXPECT_NE(k.poisson_log_pmf_fused, nullptr);
+    EXPECT_NE(k.hypothesis_rates, nullptr);
   }
   EXPECT_STREQ(simd::tier_name(simd::Tier::kScalar), "scalar");
 }
@@ -138,14 +136,15 @@ TEST(SimdDispatch, SweepTiersCoversScalarThroughDetected) {
 // ---------------------------------------------------------------------------
 // Poisson log-PMF
 
+// One reading is the shared-count kernel at reps == 1.
 TEST(SimdPoisson, ScalarTierBitIdenticalToPoissonLogPmf) {
   const auto lambdas = random_lambdas(257, 101);
   const simd::Kernels& ker = simd::kernels_for(simd::Tier::kScalar);
   for (const double k : {0.0, 1.0, 3.0, 7.0, 120.0, 4096.0, -2.0}) {
     const PoissonLogPmf pmf(k);
     std::vector<double> out(lambdas.size());
-    ker.poisson_log_pmf(pmf.count(), pmf.log_k_factorial(), lambdas.data(), out.data(),
-                        lambdas.size());
+    ker.poisson_log_pmf_fused(pmf.count(), 1.0, pmf.log_k_factorial(), lambdas.data(),
+                              out.data(), lambdas.size());
     for (std::size_t i = 0; i < lambdas.size(); ++i) {
       ASSERT_TRUE(same_bits(out[i], pmf(lambdas[i])))
           << "k=" << k << " lambda=" << lambdas[i] << " got " << hex_bits(out[i]) << " want "
@@ -173,8 +172,8 @@ TEST(SimdPoisson, SpecialLambdasExactInEveryTier) {
   for (const double k : {0.0, 5.0, -1.0}) {
     const PoissonLogPmf pmf(k);
     std::vector<double> want(lambdas.size());
-    scalar.poisson_log_pmf(pmf.count(), pmf.log_k_factorial(), lambdas.data(), want.data(),
-                           lambdas.size());
+    scalar.poisson_log_pmf_fused(pmf.count(), 1.0, pmf.log_k_factorial(), lambdas.data(),
+                                 want.data(), lambdas.size());
     for (std::size_t i = 0; i < lambdas.size(); ++i) {
       ASSERT_TRUE(same_bits(want[i], pmf(lambdas[i]))) << "scalar tier drifted from seed";
     }
@@ -183,8 +182,8 @@ TEST(SimdPoisson, SpecialLambdasExactInEveryTier) {
       // Also exercise the documented in-place aliasing (out == lambda):
       // patched lanes must read their inputs before the store clobbers them.
       std::vector<double> inplace = lambdas;
-      ker.poisson_log_pmf(pmf.count(), pmf.log_k_factorial(), inplace.data(), inplace.data(),
-                          inplace.size());
+      ker.poisson_log_pmf_fused(pmf.count(), 1.0, pmf.log_k_factorial(), inplace.data(),
+                                inplace.data(), inplace.size());
       for (std::size_t i = 0; i < lambdas.size(); ++i) {
         ASSERT_TRUE(same_bits(inplace[i], want[i]))
             << simd::tier_name(t) << " k=" << k << " lambda=" << lambdas[i] << " got "
@@ -201,11 +200,12 @@ TEST(SimdPoisson, VectorTiersMatchScalarWithinTolerance) {
       const PoissonLogPmf pmf(k);
       std::vector<double> want(n);
       simd::kernels_for(simd::Tier::kScalar)
-          .poisson_log_pmf(pmf.count(), pmf.log_k_factorial(), lambdas.data(), want.data(), n);
+          .poisson_log_pmf_fused(pmf.count(), 1.0, pmf.log_k_factorial(), lambdas.data(),
+                                 want.data(), n);
       for (const auto t : host_tiers()) {
         std::vector<double> got(n, kNan);
-        simd::kernels_for(t).poisson_log_pmf(pmf.count(), pmf.log_k_factorial(), lambdas.data(),
-                                             got.data(), n);
+        simd::kernels_for(t).poisson_log_pmf_fused(pmf.count(), 1.0, pmf.log_k_factorial(),
+                                                   lambdas.data(), got.data(), n);
         for (std::size_t i = 0; i < n; ++i) {
           // The only tier-divergent ops are log/exp (~1 ulp relative); the
           // bound scales with the magnitudes feeding the cancellation.
@@ -272,9 +272,11 @@ TEST(SimdPoisson, MultiKMatchesPerElementSeedAndAllTiers) {
 }
 
 TEST(SimdPoisson, FusedRepsOneBitIdenticalToSingleK) {
-  // reps == 1 must replay poisson_log_pmf bit for bit in EVERY tier
-  // (1.0 * lambda is exact) — the contract that lets a size-1 fused group
-  // take the single-reading path with no tolerance carve-out.
+  // reps == 1 must replay the single-k expression k*log(l) - l - log(k!)
+  // bit for bit in EVERY tier (1.0 * lambda is exact), so one reading is
+  // scored with no tolerance carve-out. The per-element-k kernel evaluates
+  // that expression in each tier's own arithmetic; given one k for every
+  // element, it is the reference.
   for (const std::size_t n : kSizes) {
     auto lambdas = random_lambdas(n, 505 + n);
     if (n > 4) {
@@ -284,10 +286,12 @@ TEST(SimdPoisson, FusedRepsOneBitIdenticalToSingleK) {
     }
     for (const double k : {0.0, 3.0, 120.0, -2.0}) {
       const PoissonLogPmf pmf(k);
+      const std::vector<double> ks(n, pmf.count());
+      const std::vector<double> log_kf(n, pmf.log_k_factorial());
       for (const auto t : host_tiers()) {
         const simd::Kernels& ker = simd::kernels_for(t);
         std::vector<double> want(n, kNan);
-        ker.poisson_log_pmf(pmf.count(), pmf.log_k_factorial(), lambdas.data(), want.data(), n);
+        ker.poisson_log_pmf_multi(ks.data(), log_kf.data(), lambdas.data(), want.data(), n);
         std::vector<double> inplace = lambdas;  // documented aliasing: out == lambda
         ker.poisson_log_pmf_fused(pmf.count(), 1.0, pmf.log_k_factorial(), inplace.data(),
                                   inplace.data(), n);
@@ -308,7 +312,7 @@ TEST(SimdPoisson, FusedEdgeSemanticsExactInEveryTier) {
   const std::vector<double> lambdas{0.0, -0.0, -3.5, 5e-324, 1.0, kInf, -kInf, kNan, 42.0};
   const std::size_t n = lambdas.size();
   const simd::Kernels& scalar = simd::kernels_for(simd::Tier::kScalar);
-  for (const auto [k_sum, reps, lfs] :
+  for (const auto& [k_sum, reps, lfs] :
        {std::tuple{0.0, 3.0, 0.0}, {91.0, 3.0, 12.5}, {-1.0, 2.0, 0.0}}) {
     std::vector<double> want(n);
     scalar.poisson_log_pmf_fused(k_sum, reps, lfs, lambdas.data(), want.data(), n);
@@ -389,94 +393,12 @@ TEST(SimdRates, FreeSpaceRatesBitIdenticalToSeedInEveryTier) {
     for (const auto t : host_tiers()) {
       std::vector<double> got(n, kNan);
       simd::kernels_for(t).hypothesis_rates(at.x, at.y, scale, response.background_cpm, x.data(),
-                                            y.data(), s.data(), nullptr, got.data(), n);
+                                            y.data(), s.data(), got.data(), n);
       for (std::size_t i = 0; i < n; ++i) {
         ASSERT_TRUE(same_bits(got[i], want[i]))
             << simd::tier_name(t) << " n=" << n << " i=" << i << " got " << hex_bits(got[i])
             << " want " << hex_bits(want[i]);
       }
-    }
-  }
-}
-
-TEST(SimdRates, TransmissionWeightedRatesBitIdenticalToCachedSeedPath) {
-  // The cached Eq. (3) association is scale * free_space * transmission +
-  // background, evaluated as ((scale * fs) * t) + b — pin it against the
-  // filter's scalar expression in every tier.
-  SensorResponse response;
-  response.efficiency = 1.3;
-  response.background_cpm = 12.0;
-  const Point2 at{10.0, 90.0};
-  const double scale = kMicroCurieToCpm * response.efficiency;
-
-  const std::size_t n = 67;
-  Rng rng(606);
-  std::vector<double> x(n);
-  std::vector<double> y(n);
-  std::vector<double> s(n);
-  std::vector<double> trans(n);
-  std::vector<double> want(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    x[i] = uniform(rng, 0.0, 100.0);
-    y[i] = uniform(rng, 0.0, 100.0);
-    s[i] = uniform(rng, 1.0, 1000.0);
-    trans[i] = uniform01(rng);
-    want[i] = scale * free_space_intensity(at, Source{{x[i], y[i]}, s[i]}) * trans[i] +
-              response.background_cpm;
-  }
-  for (const auto t : host_tiers()) {
-    std::vector<double> got(n, kNan);
-    simd::kernels_for(t).hypothesis_rates(at.x, at.y, scale, response.background_cpm, x.data(),
-                                          y.data(), s.data(), trans.data(), got.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_TRUE(same_bits(got[i], want[i])) << simd::tier_name(t) << " i=" << i;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Bilinear grid lookups (exact in every tier)
-
-TEST(SimdBilinear, MatchesTransmissionCacheBitwiseIncludingBoundaries) {
-  Environment env(make_area(50, 40), {Obstacle(make_rect(18, 10, 30, 25), 0.4)});
-  TransmissionCache cache(env, /*cell_size=*/3.0);
-  const auto* field = cache.prepare({5.0, 5.0});
-  ASSERT_NE(field, nullptr);
-  const simd::BilinearGrid grid = cache.grid_view(*field);
-
-  // Interior points, exact nodes, cell edges, all four out-of-bounds sides
-  // (clamped), and the far corners.
-  std::vector<double> xs;
-  std::vector<double> ys;
-  Rng rng(707);
-  for (int i = 0; i < 53; ++i) {
-    xs.push_back(uniform(rng, 0.0, 50.0));
-    ys.push_back(uniform(rng, 0.0, 40.0));
-  }
-  for (const double nx : {0.0, 3.0, 6.0, 48.0, 50.0}) {
-    for (const double ny : {0.0, 3.0, 39.0, 40.0}) {
-      xs.push_back(nx);
-      ys.push_back(ny);
-    }
-  }
-  const std::vector<Point2> outside{{-7.0, 20.0}, {63.0, 20.0}, {25.0, -4.0},
-                                    {25.0, 55.0}, {-1.0, -1.0}, {200.0, 200.0}};
-  for (const auto& p : outside) {
-    xs.push_back(p.x);
-    ys.push_back(p.y);
-  }
-
-  std::vector<double> want(xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    want[i] = cache.transmission(*field, {xs[i], ys[i]});
-  }
-  for (const auto t : host_tiers()) {
-    std::vector<double> got(xs.size(), kNan);
-    simd::kernels_for(t).bilinear(grid, xs.data(), ys.data(), got.data(), xs.size());
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      ASSERT_TRUE(same_bits(got[i], want[i]))
-          << simd::tier_name(t) << " target=(" << xs[i] << "," << ys[i] << ") got "
-          << hex_bits(got[i]) << " want " << hex_bits(want[i]);
     }
   }
 }

@@ -77,10 +77,7 @@ std::unique_ptr<DeliveryModel> make_episode_delivery(std::uint64_t seed) {
 FilterConfig make_episode_config(std::uint64_t seed) {
   FilterConfig cfg;
   cfg.num_particles = 512;
-  if (seed % 2 == 1) {
-    cfg.use_known_obstacles = true;
-    cfg.use_transmission_cache = (seed % 3 == 0);
-  }
+  cfg.use_known_obstacles = seed % 2 == 1;
   return cfg;
 }
 

@@ -6,8 +6,7 @@ Usage:
                            [--threshold FRAC] [--strict] [name ...]
 
 Compares every requested bench (default: table1, micro, weight_update,
-experiment_throughput, telemetry_overhead) whose
-BENCH_<name>.json exists in BOTH directories; table1 carries the paper's
+experiment_throughput) whose BENCH_<name>.json exists in BOTH directories; table1 carries the paper's
 Table I rows (per-iteration filter and mean-shift time vs NP and threads),
 micro the per-primitive seconds_per_op rows of bench_micro (grid index
 queries and re-filing, the local resample, normal and Poisson sampling,
@@ -35,7 +34,6 @@ DEFAULT_BENCHES = [
     "micro",
     "weight_update",
     "experiment_throughput",
-    "telemetry_overhead",
 ]
 
 # Metric-name fragments that identify the "bigger is better" direction.
