@@ -7,13 +7,17 @@
 //   serial     one trial after another
 //   N threads  N-way trial parallelism on one pool
 //
-// Every parallel run is checked bitwise against the serial result (the
-// determinism contract) and the comparison is recorded alongside the
-// throughput numbers in BENCH_experiment_throughput.json. Every row's config
-// ends in the SIMD tier it ran (`,simd:<tier>`). Speedups are measured on
-// THIS host — host_hw_threads in the JSON says how many cores were actually
-// available to the thread scaling.
+// Every configuration runs five times, the configurations interleaved
+// round by round so host drift spreads over all of them, and
+// BENCH_experiment_throughput.json records each one's median trials/sec
+// with its min and max. Every parallel run is checked bitwise against the
+// first serial result (the determinism contract) and the comparison is
+// recorded alongside. Every row's config ends in the SIMD tier it ran
+// (`,simd:<tier>`). Speedups are measured on THIS host — host_hw_threads in
+// the JSON says how many cores were actually available to the thread
+// scaling.
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -72,24 +76,42 @@ int main(int argc, char** argv) {
   std::printf("experiment throughput — scenario A3+obstacle, %zu trials x %zu steps\n",
               opts.trials, opts.time_steps);
 
-  opts.num_threads = 1;
-  ExperimentResult serial_ref;
-  const double serial_s = run_once(scenario, opts, &serial_ref);
-  std::printf("  %-22s %8.3f s  %6.3f trials/s\n", "serial", serial_s, trials / serial_s);
-  json.add("A3+obstacle", "serial" + tier, "trials_per_sec", trials / serial_s, 1);
-
+  constexpr int kRepetitions = 5;
+  std::vector<std::size_t> thread_counts{1};
   for (const std::size_t n : std::vector<std::size_t>{2, 4, 8}) {
-    if (n > opts.trials) break;
-    opts.num_threads = n;
-    ExperimentResult result;
-    const double s = run_once(scenario, opts, &result);
-    const bool match = identical(serial_ref, result);
-    char label[32];
-    std::snprintf(label, sizeof(label), "%zu threads", n);
-    std::printf("  %-22s %8.3f s  %6.3f trials/s  %5.2fx  bit-identical=%s\n", label, s,
-                trials / s, serial_s / s, match ? "yes" : "NO");
-    json.add("A3+obstacle", "parallel" + tier, "trials_per_sec", trials / s, n);
-    json.add("A3+obstacle", "parallel" + tier, "bitwise_match_serial", match ? 1.0 : 0.0, n);
+    if (n <= opts.trials) thread_counts.push_back(n);
+  }
+  std::vector<std::vector<double>> rates(thread_counts.size());
+  std::vector<bool> match(thread_counts.size(), true);
+  ExperimentResult serial_ref;
+  for (int rep = 0; rep < kRepetitions; ++rep) {
+    for (std::size_t c = 0; c < thread_counts.size(); ++c) {
+      opts.num_threads = thread_counts[c];
+      ExperimentResult result;
+      const double s = run_once(scenario, opts, &result);
+      rates[c].push_back(trials / s);
+      if (rep == 0 && c == 0) {
+        serial_ref = std::move(result);
+      } else if (!identical(serial_ref, result)) {
+        match[c] = false;
+      }
+    }
+  }
+
+  const double serial_rate = bench::median(rates[0]);
+  for (std::size_t c = 0; c < thread_counts.size(); ++c) {
+    const std::size_t n = thread_counts[c];
+    const double rate = bench::median(rates[c]);
+    const auto [lo, hi] = std::minmax_element(rates[c].begin(), rates[c].end());
+    const std::string label = n == 1 ? "serial" : std::to_string(n) + " threads";
+    std::printf("  %-12s median %6.3f trials/s  [%6.3f, %6.3f]", label.c_str(), rate, *lo, *hi);
+    if (n > 1) {
+      std::printf("  %5.2fx  bit-identical=%s", rate / serial_rate, match[c] ? "yes" : "NO");
+    }
+    std::printf("\n");
+    const std::string config = (n == 1 ? "serial" : "parallel") + tier;
+    json.add_spread("A3+obstacle", config, "trials_per_sec", rates[c], n);
+    if (n > 1) json.add("A3+obstacle", config, "bitwise_match_serial", match[c] ? 1.0 : 0.0, n);
   }
 
   json.write();

@@ -4,7 +4,8 @@
 // one mean-shift sweep, and one localizer estimate that its memo cannot
 // answer. These are the kernels Table I's end-to-end time decomposes into;
 // regressions here explain regressions there. Every BENCH_micro.json row
-// names the SIMD tier it ran at.
+// names the SIMD tier it ran at; the mean-shift and estimate rows also name
+// their pool's thread count (`threads:<n>`).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -197,15 +198,20 @@ struct ConvergedLocalizer {
   static Scenario scenario_for(std::size_t particles) {
     return particles <= 2000 ? make_scenario_a(10.0) : make_scenario_c();
   }
-  static LocalizerConfig config_for(const Scenario& sc, std::size_t particles) {
+  static LocalizerConfig config_for(const Scenario& sc, std::size_t particles,
+                                    std::size_t threads) {
     LocalizerConfig cfg;
     cfg.filter.num_particles = particles;
     cfg.filter.fusion_range = sc.recommended_fusion_range;
+    cfg.num_threads = threads;
     return cfg;
   }
 
-  ConvergedLocalizer(std::size_t particles, int steps)
-      : sc(scenario_for(particles)), loc(sc.env, sc.sensors, config_for(sc, particles), 11) {
+  /// `threads` sizes the localizer's own pool, which serves mean-shift only:
+  /// the readings, and so the cloud, are the same at any thread count.
+  ConvergedLocalizer(std::size_t particles, int steps, std::size_t threads = 1)
+      : sc(scenario_for(particles)),
+        loc(sc.env, sc.sensors, config_for(sc, particles, threads), 11) {
     MeasurementSimulator sim(sc.env, sc.sensors, sc.sources);
     Rng noise(12);
     for (int t = 0; t < steps; ++t) loc.process_all(sim.sample_time_step(noise));
@@ -213,27 +219,33 @@ struct ConvergedLocalizer {
 };
 
 // One mean-shift sweep (seeding, ascents, merge, support) over a converged
-// filter cloud, serial.
+// filter cloud, on a pool of 1 or 3 threads (bench/e2e's pool size). Wall
+// time, so the workers' ascents count.
 void BM_MeanShift(benchmark::State& state) {
   const auto particles = static_cast<std::size_t>(state.range(0));
   const ConvergedLocalizer run(particles, 8);
   const FusionParticleFilter& filter = run.loc.filter();
-  ThreadPool pool(1);
+  ThreadPool pool(static_cast<std::size_t>(state.range(1)));
   MeanShiftEstimator estimator(run.sc.env.bounds(), MeanShiftConfig{}, pool);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         estimator.estimate(filter.positions(), filter.strengths(), filter.weights()));
   }
 }
-BENCHMARK(BM_MeanShift)->Arg(2000)->Arg(15000)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_MeanShift)
+    ->ArgNames({"particles", "threads"})
+    ->ArgsProduct({{2000, 15000}, {1, 3}})
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 // MultiSourceLocalizer::estimate() when its memo cannot answer: each
 // iteration first applies a reading whose fusion disk is empty (far outside
 // the area), which advances the iteration and changes nothing else, so
-// estimate() runs mean-shift and detection gating in full.
+// estimate() runs mean-shift and detection gating in full, on a localizer
+// pool of 1 or 3 threads.
 void BM_EstimateMiss(benchmark::State& state) {
   const auto particles = static_cast<std::size_t>(state.range(0));
-  ConvergedLocalizer run(particles, 8);
+  ConvergedLocalizer run(particles, 8, static_cast<std::size_t>(state.range(1)));
   const Point2 far{run.sc.env.bounds().min.x - 1e4, run.sc.env.bounds().min.y - 1e4};
   const SensorResponse response = run.sc.sensors.front().response;
   for (auto _ : state) {
@@ -241,7 +253,11 @@ void BM_EstimateMiss(benchmark::State& state) {
     benchmark::DoNotOptimize(run.loc.estimate());
   }
 }
-BENCHMARK(BM_EstimateMiss)->Arg(2000)->Arg(15000)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_EstimateMiss)
+    ->ArgNames({"particles", "threads"})
+    ->ArgsProduct({{2000, 15000}, {1, 3}})
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_ChordLength(benchmark::State& state) {
   const Polygon u = make_u_shape(20, 20, 80, 70, 8.0);
@@ -335,7 +351,7 @@ int main(int argc, char** argv) {
   radloc::bench::JsonWriter json("micro");
   const std::string tier = std::string(",simd:") + simd::tier_name(simd::active_tier());
   for (const auto& [name, secs] : reporter.seconds) {
-    json.add("kernels", name + tier, "seconds_per_op", secs);
+    json.add("kernels", name + tier, "seconds_per_op", secs, radloc::bench::threads_in(name));
   }
   json.write();
   return 0;

@@ -8,8 +8,11 @@
 // is (i) growth with NP, (ii) near-insensitivity to N, (iii) speedup with
 // threads (on multi-core hosts). Times are wall clock (UseRealTime): the
 // pool's workers run mean-shift off the benchmark thread, so CPU time of
-// that thread alone would leave their work out. Every row's config ends in
-// the SIMD tier it ran (`,simd:<tier>`).
+// that thread alone would leave their work out. Every row runs five
+// repetitions, randomly interleaved with the other rows' so host drift
+// spreads over all of them, and BENCH_table1.json records each row's
+// median with its min and max. Every row's config ends in the SIMD tier it
+// ran (`,simd:<tier>`).
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -60,30 +63,36 @@ void BM_Iteration(benchmark::State& state) {
                          benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 
-/// Console reporter that records sec_per_iteration per benchmark so the main
-/// can print the multi-thread speedups (the paper's Table I shape) after the
-/// run.
+constexpr int kRepetitions = 5;
+
+/// Console reporter that records every repetition's sec_per_iteration per
+/// benchmark, so the main can write each row's spread and print the
+/// multi-thread speedups (the paper's Table I shape) after the run.
 class Table1Reporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const auto& run : runs) {
+      if (run.run_type != Run::RT_Iteration) continue;  // skip the aggregates
       const auto it = run.counters.find("sec_per_iteration");
-      if (it != run.counters.end()) seconds[run.benchmark_name()] = it->second;
+      if (it == run.counters.end()) continue;
+      benchmark::BenchmarkName name = run.run_name;
+      name.repetitions.clear();  // one row per benchmark, named as before
+      samples[name.str()].push_back(it->second);
     }
     ConsoleReporter::ReportRuns(runs);
   }
 
-  std::map<std::string, double> seconds;
+  std::map<std::string, std::vector<double>> samples;
 };
 
-void print_speedups(const std::map<std::string, double>& seconds) {
+void print_speedups(const std::map<std::string, std::vector<double>>& samples) {
   const auto at = [&](int large, int threads) {
     const std::string name = "BM_Iteration/particles:15000/largeN:" + std::to_string(large) +
                              "/threads:" + std::to_string(threads) + "/real_time";
-    const auto it = seconds.find(name);
-    return it != seconds.end() ? it->second : 0.0;
+    const auto it = samples.find(name);
+    return it != samples.end() ? bench::median(it->second) : 0.0;
   };
-  std::printf("\n--- Table I thread scaling at NP=15000 (speedup vs 1 thread) ---\n");
+  std::printf("\n--- Table I thread scaling at NP=15000 (median speedup vs 1 thread) ---\n");
   for (const int large : {0, 1}) {
     const double base = at(large, 1);
     if (base <= 0.0) continue;
@@ -110,6 +119,7 @@ BENCHMARK(BM_Iteration)
     ->Args({15000, 1, 2})
     ->Args({15000, 0, 4})
     ->Args({15000, 1, 4})
+    ->Repetitions(kRepetitions)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -130,14 +140,20 @@ int main(int argc, char** argv) {
   std::string fmt_flag = "--benchmark_out_format=json";
   std::string min_time_flag = "--benchmark_min_time=0.01";
   std::string filter_flag = "--benchmark_filter=particles:2000";
+  std::string interleave_flag = "--benchmark_enable_random_interleaving=true";
   bool has_out = false;
+  bool has_interleave = false;
   for (std::size_t i = 1; i < args.size(); ++i) {
     if (std::strncmp(args[i], "--benchmark_out=", 16) == 0) has_out = true;
+    if (std::strncmp(args[i], "--benchmark_enable_random_interleaving", 38) == 0) {
+      has_interleave = true;
+    }
   }
   if (!has_out) {
     args.push_back(out_flag.data());
     args.push_back(fmt_flag.data());
   }
+  if (!has_interleave) args.push_back(interleave_flag.data());
   if (radloc::bench::smoke()) {
     args.push_back(min_time_flag.data());
     args.push_back(filter_flag.data());
@@ -147,20 +163,16 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc2, args.data())) return 1;
   Table1Reporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
-  print_speedups(reporter.seconds);
+  print_speedups(reporter.samples);
   benchmark::Shutdown();
 
   radloc::bench::JsonWriter json("table1");
   const std::string tier =
       std::string(",simd:") + radloc::simd::tier_name(radloc::simd::active_tier());
-  for (const auto& [name, secs] : reporter.seconds) {
-    std::size_t threads = 1;
-    if (const auto pos = name.find("threads:"); pos != std::string::npos) {
-      threads = static_cast<std::size_t>(std::strtoul(name.c_str() + pos + 8, nullptr, 10));
-    }
+  for (const auto& [name, secs] : reporter.samples) {
     const bool large = name.find("largeN:1") != std::string::npos;
-    json.add(large ? "scenario-B" : "scenario-A", name + tier, "sec_per_iteration", secs,
-             threads);
+    json.add_spread(large ? "scenario-B" : "scenario-A", name + tier, "sec_per_iteration", secs,
+                    radloc::bench::threads_in(name));
   }
   json.write();
   return 0;

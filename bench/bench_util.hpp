@@ -22,12 +22,15 @@
 //     "results": [ { "scenario": "...", "config": "...", "metric": "...",
 //                    "threads": T, "value": V }, ... ] }
 //
-// so the perf/accuracy trajectory can be diffed across commits.
+// so the perf/accuracy trajectory can be diffed across commits. A row of
+// repeated timings (add_spread) holds their median as "value" and adds
+// "min", "max" and "reps".
 // `host_simd` is the best kernel tier the host supports (simd/simd.hpp) —
 // benches that sweep tiers additionally tag each row's `config` string with
 // `simd:<tier>`, so numbers from different machines compare honestly.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -99,6 +102,21 @@ inline std::size_t worlds(std::size_t fallback) {
   return env_size("RADLOC_WORLDS", fallback);
 }
 
+/// The N of a "threads:N" field in a benchmark name, or 1 without one.
+inline std::size_t threads_in(const std::string& name) {
+  const auto pos = name.find("threads:");
+  if (pos == std::string::npos) return 1;
+  return static_cast<std::size_t>(std::strtoul(name.c_str() + pos + 8, nullptr, 10));
+}
+
+/// The median of `samples` (the mean of the middle two for an even count);
+/// `samples` must not be empty.
+inline double median(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const std::size_t n = samples.size();
+  return n % 2 == 1 ? samples[n / 2] : 0.5 * (samples[n / 2 - 1] + samples[n / 2]);
+}
+
 /// Collects {scenario, config, metric, threads, value} rows and writes
 /// BENCH_<name>.json (working directory) when write() is called — or at
 /// destruction as a backstop. NaN/inf serialize as null (JSON has no
@@ -115,6 +133,16 @@ class JsonWriter {
   void add(const std::string& scenario, const std::string& config, const std::string& metric,
            double value, std::size_t threads = 1) {
     rows_.push_back(Row{scenario, config, metric, threads, value});
+  }
+
+  /// One row for repeated measurements of the same thing: their median
+  /// with the smallest and largest. `samples` must not be empty.
+  void add_spread(const std::string& scenario, const std::string& config,
+                  const std::string& metric, const std::vector<double>& samples,
+                  std::size_t threads = 1) {
+    const auto [lo, hi] = std::minmax_element(samples.begin(), samples.end());
+    rows_.push_back(
+        Row{scenario, config, metric, threads, median(samples), samples.size(), *lo, *hi});
   }
 
   void write() {
@@ -135,7 +163,12 @@ class JsonWriter {
       std::fprintf(f, "%s\n    {\"scenario\": \"%s\", \"config\": \"%s\", \"metric\": \"%s\", ",
                    i == 0 ? "" : ",", escape(r.scenario).c_str(), escape(r.config).c_str(),
                    escape(r.metric).c_str());
-      std::fprintf(f, "\"threads\": %zu, \"value\": %s}", r.threads, number(r.value).c_str());
+      std::fprintf(f, "\"threads\": %zu, \"value\": %s", r.threads, number(r.value).c_str());
+      if (r.reps > 0) {
+        std::fprintf(f, ", \"min\": %s, \"max\": %s, \"reps\": %zu", number(r.min).c_str(),
+                     number(r.max).c_str(), r.reps);
+      }
+      std::fprintf(f, "}");
     }
     std::fprintf(f, "\n  ]\n}\n");
     std::fclose(f);
@@ -147,6 +180,9 @@ class JsonWriter {
     std::string scenario, config, metric;
     std::size_t threads;
     double value;
+    std::size_t reps = 0;  ///< > 0: value is the median of reps samples
+    double min = 0.0;
+    double max = 0.0;
   };
 
   static std::string escape(const std::string& s) {

@@ -8,7 +8,8 @@
 //
 //   outer  TaskGroup::run       trials (run_experiment), session drains
 //                               (SessionManager::drain_all)
-//   inner  parallel_for         mean-shift ascents and support chunks
+//   inner  for_each_index       mean-shift ascents and support chunks,
+//                               self-scheduled over parallel_for's lanes
 //
 // A filter reading never fans out: it runs on the thread that applies it.
 //
@@ -24,11 +25,12 @@
 // running another wave's job lets a caller hold a lock across the wait,
 // which a foreign job could otherwise take again on the same thread
 // (SessionManager::estimate holds a session's drain_mu across mean-shift,
-// and that session's drain task takes it too). Which thread runs a chunk
-// never affects results — chunks cover disjoint index ranges and reductions
-// stay serial in index order.
+// and that session's drain task takes it too). Which thread runs a chunk or
+// an index never affects results — chunks cover disjoint index ranges, each
+// index writes its own slot, and reductions stay serial in index order.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -60,11 +62,10 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t num_threads() const { return workers_.size() + 1; }
 
-  /// Runs fn(i) for i in [0, n); blocks until all iterations finish. The
-  /// range is split into contiguous chunks, one per thread (iterations
-  /// should be of comparable cost — true for mean-shift seeds and particle
-  /// weighting).  Called from inside pool work it runs inline on the calling
-  /// thread (see the nesting policy above).
+  /// Runs chunk_fn(begin, end) over contiguous chunks covering [0, n), one
+  /// chunk per thread; blocks until all chunks finish. Called from inside
+  /// pool work it runs inline on the calling thread (see the nesting policy
+  /// above).
   ///
   /// Exception safety: a throwing chunk never escapes a worker thread (which
   /// would std::terminate the process). The FIRST exception of the wave is
@@ -74,12 +75,40 @@ class ThreadPool {
   /// stays fully usable afterwards.
   void parallel_for(std::size_t n, const std::function<void(std::size_t, std::size_t)>& chunk_fn);
 
-  /// Element-wise convenience over the chunked form.
+  /// Runs fn(i) for i in [0, n); blocks until all iterations finish.
+  /// Self-scheduling: parallel_for fans out min(n, num_threads()) lanes
+  /// (with its fan-out cap, caller lane and nesting rule), and each lane
+  /// claims the next unclaimed index until none is left, so iterations of
+  /// very different cost (mean-shift ascents) still keep every thread busy.
+  /// Which lane runs an index is timing-dependent; fn must write only
+  /// per-index state. Inside pool work the one inline lane runs 0..n-1 in
+  /// order.
+  ///
+  /// Exception safety: a throwing fn(i) ends only iteration i. Its lane
+  /// keeps claiming, every other index still runs exactly once, and the
+  /// first exception caught is rethrown here once every lane has retired.
   template <typename Fn>
   void for_each_index(std::size_t n, Fn&& fn) {
-    parallel_for(n, [&fn](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
+    // Lanes share one claim state, captured by a single reference so the
+    // std::function parallel_for takes holds it without allocating.
+    struct Claims {
+      std::size_t n;
+      Fn& fn;
+      std::atomic<std::size_t> next{0};
+      std::atomic<bool> failed{false};
+      std::exception_ptr error{};  // written once, by the lane that set `failed`
+    } claims{n, fn};
+    parallel_for(std::min(n, num_threads()), [&claims](std::size_t, std::size_t) {
+      for (std::size_t i = claims.next++; i < claims.n; i = claims.next++) {
+        try {
+          claims.fn(i);
+        } catch (...) {
+          if (!claims.failed.exchange(true)) claims.error = std::current_exception();
+        }
+      }
     });
+    // parallel_for's return orders every lane's writes before this read.
+    if (claims.error != nullptr) std::rethrow_exception(claims.error);
   }
 
   /// True when the calling thread is currently executing work scheduled on

@@ -4,9 +4,10 @@
 // counting-sorts a point set into cells (row-major, each cell's points in
 // ascending index order), and a radius query then reads, for every grid row
 // the query's bounding square touches, one contiguous slot range
-// (for_each_row_span). The index itself holds only the grid geometry; the
-// layout lives in caller-owned buffers, so one index serves any number of
-// point sets and threads. The fusion filter, whose particles move every
+// (for_each_row_span); for_each_cell lists the cells a square touches, for
+// per-cell candidate lists. The index itself holds only the grid geometry;
+// the layout lives in caller-owned buffers, so one index serves any number
+// of point sets and threads. The fusion filter, whose particles move every
 // reading, keeps its own SlottedGridIndex (geom/slotted_grid_index.hpp)
 // instead.
 #pragma once
@@ -27,7 +28,7 @@ class GridIndex {
   struct Layout {
     std::vector<std::uint32_t> cell_start;  ///< cell_count() + 1 offsets
     std::vector<std::uint32_t> order;       ///< slot -> point index
-    std::vector<std::uint32_t> cell;        ///< sort() scratch: point -> cell
+    std::vector<std::uint32_t> cell;        ///< point -> cell id
   };
 
   /// `bounds` is the indexable region (points outside are clamped into the
@@ -51,6 +52,22 @@ class GridIndex {
       const std::size_t row = static_cast<std::size_t>(cy) * nx_;
       fn(layout.cell_start[row + static_cast<std::size_t>(cx0)],
          layout.cell_start[row + static_cast<std::size_t>(cx1) + 1]);
+    }
+  }
+
+  /// Invokes `fn(cell)` for every cell id, row by row and lowest first, that
+  /// the square of half-side `r` around `c` touches, clamped to the grid as
+  /// sort() files points. Every point p with distance2(p, c) < r * r (the
+  /// strict floating-point test) is filed in one of them: that test implies
+  /// |p.x - c.x| < r exactly, so p.x >= fl(c.x - r) and p.x <= fl(c.x + r)
+  /// (likewise in y), and the clamped cell_of is monotone in each axis.
+  template <typename Fn>
+  void for_each_cell(const Point2& c, double r, Fn&& fn) const {
+    const auto [cx0, cy0] = cell_of(Point2{c.x - r, c.y - r});
+    const auto [cx1, cy1] = cell_of(Point2{c.x + r, c.y + r});
+    for (std::int32_t cy = cy0; cy <= cy1; ++cy) {
+      const std::size_t row = static_cast<std::size_t>(cy) * nx_;
+      for (std::int32_t cx = cx0; cx <= cx1; ++cx) fn(row + static_cast<std::size_t>(cx));
     }
   }
 

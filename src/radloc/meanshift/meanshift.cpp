@@ -29,6 +29,11 @@ struct MeanShiftEstimator::Scratch {
   simd::AVector<double> y;
   simd::AVector<double> ls;
   simd::AVector<double> w;
+  /// The kept modes each grid cell's particles can be assigned to (CSR):
+  /// cell c's are candidates[candidate_start[c] .. candidate_start[c + 1]),
+  /// in ascending mode index.
+  std::vector<std::uint32_t> candidate_start;
+  std::vector<std::uint32_t> candidates;
   /// Support chunk c's sums: kept.size() support then kept.size() core.
   std::vector<double> chunk_sums;
 };
@@ -195,16 +200,39 @@ std::vector<SourceEstimate> MeanShiftEstimator::estimate(std::span<const Point2>
 
   // Basin support: each particle contributes its weight to the nearest mode
   // within max(merge radius, 2h) (approximate basin assignment — exact
-  // basins would need a full ascent per particle). The O(particles x modes)
-  // scan runs in index order, chunked over the pool with per-chunk sums in
-  // the caller's scratch merged serially; chunk boundaries are fixed (not
-  // per-thread), so the merged sums are bit-identical at any thread count.
-  const double assign_radius2 = square(std::max(cfg_.merge_radius, 2.0 * cfg_.bandwidth_xy));
+  // basins would need a full ascent per particle). Every kept mode is listed,
+  // in ascending mode order, in each grid cell its radius square touches;
+  // those cells hold every particle within the radius (for_each_cell), so a
+  // particle scanning only its own cell's list with the strict `<` picks the
+  // mode a scan over all kept modes would: the nearest, ties to the lower
+  // index. The scan runs in index order, chunked over the pool with
+  // per-chunk sums in the caller's scratch merged serially; chunk boundaries
+  // are fixed (not per-thread), so the merged sums are bit-identical at any
+  // thread count.
+  const double assign_radius = std::max(cfg_.merge_radius, 2.0 * cfg_.bandwidth_xy);
+  const double assign_radius2 = square(assign_radius);
   const double core_radius2 = square(cfg_.bandwidth_xy);
   const std::size_t nk = kept.size();
   std::vector<double> support(nk, 0.0);
   std::vector<double> core(nk, 0.0);
   if (!kept.empty()) {
+    // Counting sort of (cell, mode) pairs, as GridIndex::sort files points:
+    // start[c + 2] counts cell c, the scatter advances start[c + 1], and
+    // start[c] ends at cell c's first candidate.
+    auto& start = sc.candidate_start;
+    start.assign(grid_.cell_count() + 2, 0u);
+    for (const Mode& m : kept) {
+      grid_.for_each_cell(m.pos, assign_radius, [&](std::size_t c) { ++start[c + 2]; });
+    }
+    for (std::size_t c = 2; c < start.size(); ++c) start[c] += start[c - 1];
+    sc.candidates.resize(start.back());
+    for (std::size_t k = 0; k < nk; ++k) {
+      grid_.for_each_cell(kept[k].pos, assign_radius, [&](std::size_t c) {
+        sc.candidates[start[c + 1]++] = static_cast<std::uint32_t>(k);
+      });
+    }
+    start.pop_back();
+
     const std::size_t num_chunks = (np + kSupportChunk - 1) / kSupportChunk;
     sc.chunk_sums.assign(num_chunks * 2 * nk, 0.0);
     pool_->for_each_index(num_chunks, [&](std::size_t c) {
@@ -215,15 +243,17 @@ std::vector<SourceEstimate> MeanShiftEstimator::estimate(std::span<const Point2>
       for (std::size_t i = begin; i < end; ++i) {
         if (weights[i] <= 0.0) continue;
         double best_d2 = assign_radius2;
-        std::size_t best = kept.size();
-        for (std::size_t k = 0; k < kept.size(); ++k) {
+        std::size_t best = nk;
+        const std::uint32_t cell = sc.layout.cell[i];
+        for (std::uint32_t j = start[cell]; j < start[cell + 1]; ++j) {
+          const std::uint32_t k = sc.candidates[j];
           const double d2 = distance2(positions[i], kept[k].pos);
           if (d2 < best_d2) {
             best_d2 = d2;
             best = k;
           }
         }
-        if (best < kept.size()) {
+        if (best < nk) {
           sup[best] += weights[i];
           if (best_d2 <= core_radius2) cor[best] += weights[i];
         }

@@ -11,8 +11,8 @@
 // bandwidth unspecified). The kernel is a diagonal Gaussian truncated at
 // 3 sigma spatially. Each estimate first sorts the cloud into the cells of a
 // uniform grid, so one shift step reads a few contiguous row ranges, O(local
-// particles) instead of O(NP). Seeds are independent and run in parallel on
-// the thread pool.
+// particles) instead of O(NP). Seeds are independent; the pool's threads
+// claim them one at a time, so a few long climbs do not leave threads idle.
 #pragma once
 
 #include <cstddef>
@@ -92,9 +92,10 @@ class MeanShiftEstimator {
     double density = 0.0;
   };
 
-  /// One estimate's working memory: the cloud in cell order and the
-  /// support pass's per-chunk sums. Nothing in it outlives an estimate, so
-  /// every estimator on a thread shares that thread's copy (meanshift.cpp).
+  /// One estimate's working memory: the cloud in cell order, the kept
+  /// modes listed per grid cell and the support pass's per-chunk sums.
+  /// Nothing in it outlives an estimate, so every estimator on a thread
+  /// shares that thread's copy, reusing its capacity (meanshift.cpp).
   struct Scratch;
   /// The calling thread's Scratch. Fetched once per estimate by the thread
   /// that runs it; ascent and support jobs on the pool work in the caller's

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "radloc/concurrency/thread_pool.hpp"
@@ -99,6 +105,31 @@ TEST(ThreadPool, ChunksCoverRangeWithoutOverlap) {
   EXPECT_EQ(cursor, 100u);
 }
 
+TEST(ThreadPool, ForEachIndexClaimsPastABlockedIndex) {
+  // Index 0 waits until every other index has run. Lanes claim indices one
+  // at a time, so the other lanes run all 63; with one contiguous chunk per
+  // thread, index 0's chunk-mates would wait behind it and the wait would
+  // time out.
+  ThreadPool pool(4, 4);
+  constexpr std::size_t n = 64;
+  std::vector<std::atomic<int>> hits(n);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t others = 0;
+  bool released = false;
+  pool.for_each_index(n, [&](std::size_t i) {
+    hits[i].fetch_add(1);
+    std::unique_lock lock(mu);
+    if (i == 0) {
+      released = cv.wait_for(lock, std::chrono::seconds(10), [&] { return others == n - 1; });
+    } else if (++others == n - 1) {
+      cv.notify_all();
+    }
+  });
+  EXPECT_TRUE(released);
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+}
+
 TEST(TaskGroup, RunsEveryTask) {
   ThreadPool pool(4, 4);
   constexpr std::size_t n = 200;
@@ -174,6 +205,35 @@ TEST(TaskGroup, NestedParallelForRunsInlineWithoutDeadlock) {
   for (std::size_t i = 0; i < hits.size(); ++i) ASSERT_EQ(hits[i].load(), 1) << i;
 }
 
+TEST(TaskGroup, NestedForEachIndexRunsInOrderOnTheCallingThread) {
+  // Inside pool work for_each_index has one inline lane: it claims every
+  // index, in order, on the task's own thread.
+  ThreadPool pool(4, 4);
+  constexpr std::size_t tasks = 8;
+  constexpr std::size_t inner = 100;
+  std::vector<std::vector<std::size_t>> order(tasks);
+  std::vector<int> on_task_thread(tasks, 0);
+  ThreadPool::TaskGroup group(pool);
+  for (std::size_t t = 0; t < tasks; ++t) {
+    group.run([&, t] {
+      const auto me = std::this_thread::get_id();
+      bool same = true;
+      pool.for_each_index(inner, [&](std::size_t i) {
+        order[t].push_back(i);
+        same = same && std::this_thread::get_id() == me;
+      });
+      on_task_thread[t] = same ? 1 : 0;
+    });
+  }
+  group.wait();
+  std::vector<std::size_t> expected(inner);
+  std::iota(expected.begin(), expected.end(), std::size_t{0});
+  for (std::size_t t = 0; t < tasks; ++t) {
+    EXPECT_EQ(order[t], expected) << t;
+    EXPECT_EQ(on_task_thread[t], 1) << t;
+  }
+}
+
 TEST(TaskGroup, ManyMoreTasksThanWorkers) {
   // wait() must make progress by stealing queued tasks, not just blocking.
   ThreadPool pool(2, 2);
@@ -233,6 +293,45 @@ TEST(ThreadPoolException, ParallelForCallerChunkExceptionStillRetiresQueuedChunk
                                  }),
                std::runtime_error);
   for (std::size_t i = 1000; i < n; ++i) ASSERT_EQ(hits[i].load(), 1) << i;
+}
+
+TEST(ThreadPoolException, ForEachIndexThrowEndsOnlyItsOwnIteration) {
+  // Every fifth index throws. Each ends only its own iteration: its lane
+  // keeps claiming, every index runs exactly once, one of the thrown
+  // exceptions is rethrown at the call, and the pool runs the next call.
+  ThreadPool pool(4, 4);
+  constexpr std::size_t n = 256;
+  std::vector<std::atomic<int>> hits(n);
+  try {
+    pool.for_each_index(n, [&](std::size_t i) {
+      hits[i].fetch_add(1);
+      if (i % 5 == 2) throw std::runtime_error(std::to_string(i));
+    });
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::stoul(e.what()) % 5, 2u) << e.what();
+  }
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+  std::atomic<int> count{0};
+  pool.for_each_index(n, [&](std::size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), static_cast<int>(n));
+}
+
+TEST(ThreadPoolException, ForEachIndexOnOneLaneRethrowsTheFirstAfterEveryIndex) {
+  // One lane (a serial pool) claims 0..n-1 in order: indices 2 and 5 throw,
+  // the rest still run, and the first exception is the one rethrown.
+  ThreadPool pool(1);
+  std::vector<int> ran;
+  try {
+    pool.for_each_index(8, [&](std::size_t i) {
+      ran.push_back(static_cast<int>(i));
+      if (i == 2 || i == 5) throw std::runtime_error(std::to_string(i));
+    });
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "2");
+  }
+  EXPECT_EQ(ran, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
 TEST(ThreadPoolException, ParallelForSerialPoolPropagatesInline) {

@@ -273,12 +273,68 @@ struct ScalarTier {
   ScalarTier& operator=(const ScalarTier&) = delete;
 };
 
+/// Clusters centred on and beyond the area's edges, jittered without
+/// clamping, plus scatter over a box 8 units wider than the area on every
+/// side: particles outside the bounds are filed in the clamped border cells,
+/// and modes form within a cell of the border and (the cluster 13 units out)
+/// beyond it.
+Cloud make_border_cloud(const AreaBounds& b, std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  const std::vector<Point2> centers{{b.min.x + 1.0, 50.0},  {b.max.x - 0.8, b.max.y - 0.5},
+                                    {50.0, b.min.y + 0.4},  {b.min.x - 2.5, 20.0},
+                                    {b.max.x + 2.0, 70.0},  {b.min.x - 13.0, 80.0}};
+  Cloud c;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (uniform01(rng) < 0.2) {
+      c.positions.push_back(
+          {uniform(rng, b.min.x - 8.0, b.max.x + 8.0), uniform(rng, b.min.y - 8.0, b.max.y + 8.0)});
+      c.strengths.push_back(std::exp(uniform(rng, 0.0, std::log(1000.0))));
+    } else {
+      const Point2 center = centers[uniform_index(rng, centers.size())];
+      c.positions.push_back({center.x + uniform(rng, -3.0, 3.0) + uniform(rng, -3.0, 3.0),
+                             center.y + uniform(rng, -3.0, 3.0) + uniform(rng, -3.0, 3.0)});
+      c.strengths.push_back(20.0 * std::exp(uniform(rng, -0.3, 0.3)));
+    }
+    c.weights.push_back(i % 11 == 0 ? 0.0 : uniform01(rng));
+  }
+  return c;
+}
+
+/// Indices of make_tie_cloud's tie particles: the last kTieParticles.
+constexpr std::size_t kTieParticles = 9;
+
+/// Two stacks of 128 identical particles (strength 1) at (22, 50) with
+/// weight 0.5 and at (40, 50) with weight 0.25 climb to exactly those points
+/// (densities 64 and 32, so the first is the lower kept index), 18 apart:
+/// beyond each other's 3h kernel and the default merge radius. Scatter at
+/// x >= 58 stays outside both kernels. The last nine particles, at
+/// (31, 50 + dy) for dy in -4..4, are exactly equidistant from both modes
+/// (d2 = 81 + dy^2 < (2h)^2), in a grid cell of their own; strength e^-25
+/// puts them in neither stack's kernel, and they weigh too little to be
+/// drawn as seeds. Each goes to the lower-index mode.
+Cloud make_tie_cloud(std::uint64_t seed) {
+  Rng rng(seed);
+  Cloud c;
+  const auto add = [&c](Point2 p, double strength, double weight) {
+    c.positions.push_back(p);
+    c.strengths.push_back(strength);
+    c.weights.push_back(weight);
+  };
+  for (int i = 0; i < 128; ++i) add({22.0, 50.0}, 1.0, 0.5);
+  for (int i = 0; i < 128; ++i) add({40.0, 50.0}, 1.0, 0.25);
+  for (int i = 0; i < 600; ++i) {
+    add({uniform(rng, 58.0, 100.0), uniform(rng, 0.0, 100.0)},
+        std::exp(uniform(rng, 0.0, std::log(1000.0))), uniform01(rng));
+  }
+  for (int dy = -4; dy <= 4; ++dy) add({31.0, 50.0 + dy}, std::exp(-25.0), 0.01);
+  return c;
+}
+
 struct GoldenCase {
   const char* name;
-  Scenario sc;
-  std::size_t particles;
-  std::uint64_t seed;
-  KernelType kernel;
+  AreaBounds bounds;
+  Cloud cloud;
+  MeanShiftConfig cfg;
   std::uint64_t golden;
 };
 
@@ -286,31 +342,54 @@ std::vector<GoldenCase> golden_cases() {
   const Scenario a = make_scenario_a(10.0);
   const Scenario a3u = make_scenario_a3(10.0, 5.0, /*with_obstacle=*/true);
   const Scenario c = make_scenario_c();
+  const auto config = [](KernelType kernel, double bandwidth_xy, double merge_radius) {
+    MeanShiftConfig cfg;
+    cfg.kernel = kernel;
+    cfg.bandwidth_xy = bandwidth_xy;
+    cfg.merge_radius = merge_radius;
+    return cfg;
+  };
+  const MeanShiftConfig gauss = config(KernelType::kGaussian, 5.0, 6.0);
+  const AreaBounds& ab = a.env.bounds();
   return {
-      {"A/1", a, 2000, 1, KernelType::kGaussian, 0x56ebcfa67aaf3c2fULL},
-      {"A/2", a, 2000, 2, KernelType::kGaussian, 0x5fa76de85a8234f8ULL},
-      {"A3+U/1", a3u, 2000, 1, KernelType::kGaussian, 0x72b84cc08bd67248ULL},
-      {"A3+U/2", a3u, 2000, 2, KernelType::kGaussian, 0x936662a17b66d32bULL},
-      {"C/1", c, 15000, 1, KernelType::kGaussian, 0xf00c49b227a07cb5ULL},
-      {"C/2", c, 15000, 2, KernelType::kGaussian, 0xd1302d6bb099cfd0ULL},
-      {"A/1 epanechnikov", a, 2000, 1, KernelType::kEpanechnikov, 0x9b338fb65737d16fULL},
+      {"A/1", ab, make_fixed_cloud(a, 2000, 1), gauss, 0x56ebcfa67aaf3c2fULL},
+      {"A/2", ab, make_fixed_cloud(a, 2000, 2), gauss, 0x5fa76de85a8234f8ULL},
+      {"A3+U/1", a3u.env.bounds(), make_fixed_cloud(a3u, 2000, 1), gauss, 0x72b84cc08bd67248ULL},
+      {"A3+U/2", a3u.env.bounds(), make_fixed_cloud(a3u, 2000, 2), gauss, 0x936662a17b66d32bULL},
+      {"C/1", c.env.bounds(), make_fixed_cloud(c, 15000, 1), gauss, 0xf00c49b227a07cb5ULL},
+      {"C/2", c.env.bounds(), make_fixed_cloud(c, 15000, 2), gauss, 0xd1302d6bb099cfd0ULL},
+      {"A/1 epanechnikov", ab, make_fixed_cloud(a, 2000, 1),
+       config(KernelType::kEpanechnikov, 5.0, 6.0), 0x9b338fb65737d16fULL},
+      // Support-pass geometry: border cells, exact ties, an assignment
+      // radius set by the merge radius, and a grid pitch of 1 > h.
+      {"border/1", ab, make_border_cloud(ab, 3000, 1), gauss, 0xa727dabc879e4716ULL},
+      {"border/2", ab, make_border_cloud(ab, 3000, 2), gauss, 0x716cb27bbd5a9cfeULL},
+      {"ties", ab, make_tie_cloud(3), gauss, 0x8ee7d5ca520ae227ULL},
+      {"A/1 merge 14", ab, make_fixed_cloud(a, 2000, 1), config(KernelType::kGaussian, 5.0, 14.0),
+       0xb5308263d1c314e8ULL},
+      {"C/1 merge 22", c.env.bounds(), make_fixed_cloud(c, 15000, 1),
+       config(KernelType::kGaussian, 5.0, 22.0), 0x3e3e8188b25dec2eULL},
+      {"A/1 h 0.6", ab, make_fixed_cloud(a, 2000, 1), config(KernelType::kGaussian, 0.6, 1.0),
+       0xa1940d0a730c6254ULL},
+      {"border/1 h 0.8", ab, make_border_cloud(ab, 3000, 1),
+       config(KernelType::kGaussian, 0.8, 6.0), 0x858bfb4e82169d8dULL},
   };
 }
 
 TEST(MeanShiftGolden, ScalarTierOutputMatchesGolden) {
   // Mean-shift output on fixed clouds, bit for bit, at the scalar tier, at
-  // one and at four threads. The hashes were captured from the estimator
-  // that gathered each ascent's neighbours one at a time through a grid
-  // radius query, before the climb moved onto a cell-ordered copy.
+  // one and at four threads. The first seven hashes were captured from the
+  // estimator that gathered each ascent's neighbours one at a time through a
+  // grid radius query, before the climb moved onto a cell-ordered copy; the
+  // support-pass cases from the estimator that scanned every kept mode for
+  // every particle, before the scan moved onto per-cell candidate lists.
   const ScalarTier scalar;
   ThreadPool serial(1);
   ThreadPool parallel(4, /*max_fanout=*/4);
   for (const GoldenCase& gc : golden_cases()) {
-    const Cloud cloud = make_fixed_cloud(gc.sc, gc.particles, gc.seed);
-    MeanShiftConfig cfg;
-    cfg.kernel = gc.kernel;
-    MeanShiftEstimator est_s(gc.sc.env.bounds(), cfg, serial);
-    MeanShiftEstimator est_p(gc.sc.env.bounds(), cfg, parallel);
+    MeanShiftEstimator est_s(gc.bounds, gc.cfg, serial);
+    MeanShiftEstimator est_p(gc.bounds, gc.cfg, parallel);
+    const Cloud& cloud = gc.cloud;
     const auto modes = est_s.estimate(cloud.positions, cloud.strengths, cloud.weights);
     EXPECT_GE(modes.size(), 1u) << gc.name;
     const std::uint64_t h = hash_estimates(modes);
@@ -318,6 +397,35 @@ TEST(MeanShiftGolden, ScalarTierOutputMatchesGolden) {
     EXPECT_EQ(hash_estimates(est_p.estimate(cloud.positions, cloud.strengths, cloud.weights)), h)
         << gc.name;
   }
+}
+
+TEST(MeanShiftGolden, TieCloudClimbsToTheStacksAndSeedsNoTieParticle) {
+  // The tie case above holds only if the construction does: both stacks
+  // are reported at their exact positions, no seed is a tie particle, and
+  // the tie particles' weight lands on the denser stack.
+  const ScalarTier scalar;
+  ThreadPool serial(1);
+  const Cloud cloud = make_tie_cloud(3);
+  MeanShiftEstimator est(make_area(100.0, 100.0), MeanShiftConfig{}, serial);
+  for (const auto s : est.select_seeds(cloud.positions, cloud.weights)) {
+    EXPECT_LT(s, cloud.positions.size() - kTieParticles);
+  }
+  double total = 0.0;
+  for (const double w : cloud.weights) total += w;
+  const auto modes = est.estimate(cloud.positions, cloud.strengths, cloud.weights);
+  const auto at = [&](Point2 p) {
+    return std::find_if(modes.begin(), modes.end(),
+                        [&](const SourceEstimate& e) { return e.pos.x == p.x && e.pos.y == p.y; });
+  };
+  const auto dense = at({22.0, 50.0});
+  const auto light = at({40.0, 50.0});
+  ASSERT_NE(dense, modes.end());
+  ASSERT_NE(light, modes.end());
+  // The stack's 0.5s, then the tie particles' 0.01s, summed in index order.
+  double dense_mass = 64.0;
+  for (std::size_t i = 0; i < kTieParticles; ++i) dense_mass += 0.01;
+  EXPECT_EQ(dense->support, dense_mass / total);
+  EXPECT_EQ(light->support, 32.0 / total);
 }
 
 /// One estimator and the cloud it runs on, with its solo answer.

@@ -14,7 +14,10 @@ one filter iteration).
 Rows are matched on (scenario, config, metric, threads); the direction of
 "better" is inferred from the metric name (rates and speedups up, times and
 errors down). Changes beyond the threshold (default 15%) are printed as
-REGRESSION or IMPROVEMENT lines.
+REGRESSION or IMPROVEMENT lines. Rows recorded as repetitions (table1,
+experiment_throughput) hold their median as the value and their min and
+max beside it; the lines print both sides' ranges, and a fresh median
+inside the baseline's range is marked as such.
 
 The exit code is informational by default (always 0, so tools/check.sh can
 surface regressions without failing the gauntlet — bench numbers from smoke
@@ -42,13 +45,31 @@ LOWER_IS_BETTER = ("sec_per", "seconds_per", "_ms", "_us", "_seconds", "error", 
 
 
 def load_rows(path):
+    """(doc, {key: value}, {key: (min, max)}); the second map holds only rows
+    recorded as repetitions."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     rows = {}
+    spreads = {}
     for r in doc.get("results", []):
         key = (r.get("scenario"), r.get("config"), r.get("metric"), r.get("threads"))
         rows[key] = r.get("value")
-    return doc, rows
+        if r.get("min") is not None and r.get("max") is not None:
+            spreads[key] = (r["min"], r["max"])
+    return doc, rows, spreads
+
+
+def spread_note(key, base_spreads, fresh_spreads, new):
+    """' [baseline lo..hi, fresh lo..hi]' for rows recorded as repetitions."""
+    parts = []
+    if key in base_spreads:
+        lo, hi = base_spreads[key]
+        inside = " (fresh median inside)" if lo <= new <= hi else ""
+        parts.append(f"baseline {lo:.6g}..{hi:.6g}{inside}")
+    if key in fresh_spreads:
+        lo, hi = fresh_spreads[key]
+        parts.append(f"fresh {lo:.6g}..{hi:.6g}")
+    return f" [{', '.join(parts)}]" if parts else ""
 
 
 def direction(metric):
@@ -70,8 +91,8 @@ def compare_bench(name, fresh_dir, baseline_dir, threshold):
         print(f"[{name}] no fresh results at {fresh_path}; skipping")
         return 0
 
-    base_doc, base_rows = load_rows(base_path)
-    fresh_doc, fresh_rows = load_rows(fresh_path)
+    base_doc, base_rows, base_spreads = load_rows(base_path)
+    fresh_doc, fresh_rows, fresh_spreads = load_rows(fresh_path)
     if fresh_doc.get("smoke") and not base_doc.get("smoke"):
         print(f"[{name}] note: fresh results are from a --smoke run; expect noise")
     if fresh_doc.get("host_simd") != base_doc.get("host_simd"):
@@ -101,7 +122,8 @@ def compare_bench(name, fresh_dir, baseline_dir, threshold):
             tag = "IMPROVEMENT"
         else:
             continue
-        print(f"[{name}] {tag} {change:+7.1%}  {label}  ({old:.6g} -> {new:.6g})")
+        note = spread_note(key, base_spreads, fresh_spreads, new)
+        print(f"[{name}] {tag} {change:+7.1%}  {label}  ({old:.6g} -> {new:.6g}){note}")
     for key in sorted(set(fresh_rows) - set(base_rows), key=str):
         scenario, config, metric, threads = key
         print(f"[{name}] new row (no baseline): {scenario} | {config} | {metric}")
