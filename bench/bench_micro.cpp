@@ -3,19 +3,23 @@
 // normal and Poisson sampling, the Poisson log-PMF, one filter iteration,
 // one mean-shift sweep, and one localizer estimate that its memo cannot
 // answer. These are the kernels Table I's end-to-end time decomposes into;
-// regressions here explain regressions there. Every BENCH_micro.json row
-// names the SIMD tier it ran at; the mean-shift and estimate rows also name
+// regressions here explain regressions there. Every row runs five
+// repetitions, randomly interleaved with the other rows'
+// (gbench_spread.hpp), and BENCH_micro.json records each row's median
+// seconds per op as `value` with `min`, `max` and `reps`. Every row names
+// the SIMD tier it ran at; the mean-shift and estimate rows also name
 // their pool's thread count (`threads:<n>`).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstring>
-#include <map>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "gbench_spread.hpp"
 #include "radloc/common/math.hpp"
 #include "radloc/core/localizer.hpp"
 #include "radloc/eval/scenarios.hpp"
@@ -311,23 +315,6 @@ void BM_FilterIteration(benchmark::State& state) {
 }
 BENCHMARK(BM_FilterIteration)->Arg(2000)->Arg(15000)->Unit(benchmark::kMicrosecond);
 
-/// Console reporter that records per-iteration real time so the main can
-/// emit the stable-schema BENCH_micro.json after the run.
-class TimeReporter : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const auto& run : runs) {
-      if (run.iterations > 0) {
-        seconds[run.benchmark_name()] =
-            run.real_accumulated_time / static_cast<double>(run.iterations);
-      }
-    }
-    ConsoleReporter::ReportRuns(runs);
-  }
-
-  std::map<std::string, double> seconds;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -339,19 +326,30 @@ int main(int argc, char** argv) {
       args.push_back(argv[i]);
     }
   }
+  std::string reps_flag =
+      "--benchmark_repetitions=" + std::to_string(radloc::bench::kRepetitions);
+  std::string interleave_flag = "--benchmark_enable_random_interleaving=true";
   std::string min_time_flag = "--benchmark_min_time=0.01";
+  radloc::bench::default_flag(args, reps_flag);
+  radloc::bench::default_flag(args, interleave_flag);
   if (radloc::bench::smoke()) args.push_back(min_time_flag.data());
   int argc2 = static_cast<int>(args.size());
   benchmark::Initialize(&argc2, args.data());
   if (benchmark::ReportUnrecognizedArguments(argc2, args.data())) return 1;
-  TimeReporter reporter;
+  // Wall time per iteration of each repetition.
+  radloc::bench::RepetitionReporter reporter(
+      [](const benchmark::BenchmarkReporter::Run& run) -> std::optional<double> {
+        if (run.iterations <= 0) return std::nullopt;
+        return run.real_accumulated_time / static_cast<double>(run.iterations);
+      });
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
 
   radloc::bench::JsonWriter json("micro");
   const std::string tier = std::string(",simd:") + simd::tier_name(simd::active_tier());
-  for (const auto& [name, secs] : reporter.seconds) {
-    json.add("kernels", name + tier, "seconds_per_op", secs, radloc::bench::threads_in(name));
+  for (const auto& [name, secs] : reporter.samples) {
+    json.add_spread("kernels", name + tier, "seconds_per_op", secs,
+                    radloc::bench::threads_in(name));
   }
   json.write();
   return 0;

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "gbench_spread.hpp"
 #include "radloc/core/localizer.hpp"
 #include "radloc/eval/scenarios.hpp"
 #include "radloc/sensornet/simulator.hpp"
@@ -63,28 +64,6 @@ void BM_Iteration(benchmark::State& state) {
                          benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 
-constexpr int kRepetitions = 5;
-
-/// Console reporter that records every repetition's sec_per_iteration per
-/// benchmark, so the main can write each row's spread and print the
-/// multi-thread speedups (the paper's Table I shape) after the run.
-class Table1Reporter : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const auto& run : runs) {
-      if (run.run_type != Run::RT_Iteration) continue;  // skip the aggregates
-      const auto it = run.counters.find("sec_per_iteration");
-      if (it == run.counters.end()) continue;
-      benchmark::BenchmarkName name = run.run_name;
-      name.repetitions.clear();  // one row per benchmark, named as before
-      samples[name.str()].push_back(it->second);
-    }
-    ConsoleReporter::ReportRuns(runs);
-  }
-
-  std::map<std::string, std::vector<double>> samples;
-};
-
 void print_speedups(const std::map<std::string, std::vector<double>>& samples) {
   const auto at = [&](int large, int threads) {
     const std::string name = "BM_Iteration/particles:15000/largeN:" + std::to_string(large) +
@@ -119,7 +98,7 @@ BENCHMARK(BM_Iteration)
     ->Args({15000, 1, 2})
     ->Args({15000, 0, 4})
     ->Args({15000, 1, 4})
-    ->Repetitions(kRepetitions)
+    ->Repetitions(bench::kRepetitions)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -141,19 +120,9 @@ int main(int argc, char** argv) {
   std::string min_time_flag = "--benchmark_min_time=0.01";
   std::string filter_flag = "--benchmark_filter=particles:2000";
   std::string interleave_flag = "--benchmark_enable_random_interleaving=true";
-  bool has_out = false;
-  bool has_interleave = false;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    if (std::strncmp(args[i], "--benchmark_out=", 16) == 0) has_out = true;
-    if (std::strncmp(args[i], "--benchmark_enable_random_interleaving", 38) == 0) {
-      has_interleave = true;
-    }
-  }
-  if (!has_out) {
-    args.push_back(out_flag.data());
-    args.push_back(fmt_flag.data());
-  }
-  if (!has_interleave) args.push_back(interleave_flag.data());
+  radloc::bench::default_flag(args, out_flag);
+  radloc::bench::default_flag(args, fmt_flag);
+  radloc::bench::default_flag(args, interleave_flag);
   if (radloc::bench::smoke()) {
     args.push_back(min_time_flag.data());
     args.push_back(filter_flag.data());
@@ -161,7 +130,10 @@ int main(int argc, char** argv) {
   int argc2 = static_cast<int>(args.size());
   benchmark::Initialize(&argc2, args.data());
   if (benchmark::ReportUnrecognizedArguments(argc2, args.data())) return 1;
-  Table1Reporter reporter;
+  radloc::bench::RepetitionReporter reporter(
+      [](const benchmark::BenchmarkReporter::Run& run) {
+        return radloc::bench::counter(run, "sec_per_iteration");
+      });
   benchmark::RunSpecifiedBenchmarks(&reporter);
   print_speedups(reporter.samples);
   benchmark::Shutdown();

@@ -10,10 +10,12 @@
 // range subset against one measurement. Selection/resampling costs are
 // excluded here (bench_table1_runtime measures the end-to-end iteration).
 //
-// Writes the stable-schema BENCH_weight_update.json (bench_util JsonWriter)
-// plus the raw google-benchmark dump BENCH_weight_update.gbench.json
-// (override with --benchmark_out=...), and prints a speedup summary so CI
-// has a machine-readable perf trajectory. `--smoke` shortens the measured
+// Every row runs five repetitions, randomly interleaved with the other
+// rows' (gbench_spread.hpp). Writes the stable-schema
+// BENCH_weight_update.json (each row's median particles/sec as `value`,
+// with `min`, `max` and `reps`) plus the raw google-benchmark dump
+// BENCH_weight_update.gbench.json (override with --benchmark_out=...), and
+// prints a speedup summary of the medians. `--smoke` shortens the measured
 // time per benchmark for the benchsmoke ctest entry.
 #include <benchmark/benchmark.h>
 
@@ -26,6 +28,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "gbench_spread.hpp"
 #include "radloc/common/math.hpp"
 #include "radloc/eval/scenarios.hpp"
 #include "radloc/radiation/intensity_model.hpp"
@@ -178,25 +181,10 @@ void BM_WeightUpdateBatched(benchmark::State& state, simd::Tier tier) {
       benchmark::Counter(secs > 0.0 ? static_cast<double>(scored) / secs : 0.0);
 }
 
-/// Console reporter that records particles_per_sec per benchmark so the main
-/// can print the speedup summary after the run.
-class SpeedupReporter : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const auto& run : runs) {
-      const auto it = run.counters.find("particles_per_sec");
-      if (it != run.counters.end()) rates[run.benchmark_name()] = it->second;
-    }
-    ConsoleReporter::ReportRuns(runs);
-  }
-
-  std::map<std::string, double> rates;
-};
-
-void print_speedups(const std::map<std::string, double>& rates) {
+void print_speedups(const std::map<std::string, std::vector<double>>& samples) {
   const auto rate = [&](const std::string& name) {
-    const auto it = rates.find(name);
-    return it != rates.end() ? it->second : 0.0;
+    const auto it = samples.find(name);
+    return it != samples.end() ? bench::median(it->second) : 0.0;
   };
   const auto report = [&](const char* label, const std::string& num, const std::string& den) {
     const double a = rate(num);
@@ -231,15 +219,14 @@ int main(int argc, char** argv) {
   }
   std::string out_flag = "--benchmark_out=BENCH_weight_update.gbench.json";
   std::string fmt_flag = "--benchmark_out_format=json";
+  std::string reps_flag =
+      "--benchmark_repetitions=" + std::to_string(radloc::bench::kRepetitions);
+  std::string interleave_flag = "--benchmark_enable_random_interleaving=true";
   std::string min_time_flag = "--benchmark_min_time=0.01";
-  bool has_out = false;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    if (std::strncmp(args[i], "--benchmark_out=", 16) == 0) has_out = true;
-  }
-  if (!has_out) {
-    args.push_back(out_flag.data());
-    args.push_back(fmt_flag.data());
-  }
+  radloc::bench::default_flag(args, out_flag);
+  radloc::bench::default_flag(args, fmt_flag);
+  radloc::bench::default_flag(args, reps_flag);
+  radloc::bench::default_flag(args, interleave_flag);
   if (radloc::bench::smoke()) args.push_back(min_time_flag.data());
   int argc2 = static_cast<int>(args.size());
   benchmark::Initialize(&argc2, args.data());
@@ -263,14 +250,17 @@ int main(int argc, char** argv) {
                                  [tier](benchmark::State& s) { BM_WeightUpdateBatched(s, tier); });
   }
 
-  SpeedupReporter reporter;
+  radloc::bench::RepetitionReporter reporter(
+      [](const benchmark::BenchmarkReporter::Run& run) {
+        return radloc::bench::counter(run, "particles_per_sec");
+      });
   benchmark::RunSpecifiedBenchmarks(&reporter);
-  print_speedups(reporter.rates);
+  print_speedups(reporter.samples);
   benchmark::Shutdown();
 
   radloc::bench::JsonWriter json("weight_update");
-  for (const auto& [name, rate] : reporter.rates) {
-    json.add("weight-update-scenario-A", name, "particles_per_sec", rate, 1);
+  for (const auto& [name, rates] : reporter.samples) {
+    json.add_spread("weight-update-scenario-A", name, "particles_per_sec", rates, 1);
   }
   json.write();
   return 0;

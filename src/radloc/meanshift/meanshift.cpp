@@ -12,10 +12,6 @@ namespace radloc {
 
 namespace {
 
-// Slots per kernel call: an ascent evaluates each row range in blocks this
-// long, so its profile buffer lives on the stack of whichever thread runs it.
-constexpr std::size_t kProfileBlock = 256;
-
 // Particles per support chunk (fixed, not per thread, so the merged sums do
 // not depend on the thread count).
 constexpr std::size_t kSupportChunk = 2048;
@@ -104,34 +100,26 @@ MeanShiftEstimator::Mode MeanShiftEstimator::ascend(const Scratch& cloud, Point2
   double density = 0.0;
   const bool gaussian = cfg_.kernel == KernelType::kGaussian;
   const simd::Kernels& ker = simd::kernels();
-  alignas(32) double profile[kProfileBlock]{};
 
   for (std::size_t iter = 0; iter < cfg_.max_iterations; ++iter) {
-    // Every grid row the 3h square touches is one contiguous slot range.
-    // The profile k_i = w_i * phi(e_i) is exactly 0 outside the radius and
-    // at zero weight, so these sums equal those over the in-radius
-    // particles alone, accumulated in the same order (cell by cell,
-    // ascending index within a cell): the scalar tier is bit-identical to
-    // a per-neighbour gather.
-    Point2 num_pos{0.0, 0.0};
-    double num_s = 0.0;
-    double denom = 0.0;
+    // Every grid row the 3h square touches is one contiguous slot range,
+    // and one kernel call adds its Σk·x, Σk·y, Σk·ls and Σk, where the
+    // profile k_i = w_i * phi(e_i) is the Gaussian exp(-e) or the
+    // Epanechnikov 1 - e/4.5 (a parabola hitting zero at the same 3-sigma
+    // edge), and 0 outside the radius or at zero weight. The scalar tier
+    // adds the in-radius particles one at a time, cell by cell and in
+    // ascending index within a cell: bit for bit a per-neighbour gather.
+    // The row spans come from the layout, not the thread, so every tier
+    // gives the same sums at any thread count.
+    double sums[4] = {0.0, 0.0, 0.0, 0.0};
     grid_.for_each_row_span(cloud.layout, x, radius, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t b = begin; b < end; b += kProfileBlock) {
-        const std::size_t n = std::min(kProfileBlock, end - b);
-        // Gaussian profile exp(-e), or the Epanechnikov profile 1 - e/4.5
-        // (parabola hitting zero at the same 3-sigma truncation edge).
-        ker.meanshift_profile(gaussian, x.x, x.y, s, h2, hs2, r2, &cloud.x[b], &cloud.y[b],
-                              &cloud.ls[b], &cloud.w[b], profile, n);
-        for (std::size_t j = 0; j < n; ++j) {
-          const double k = profile[j];
-          num_pos.x += k * cloud.x[b + j];
-          num_pos.y += k * cloud.y[b + j];
-          num_s += k * cloud.ls[b + j];
-          denom += k;
-        }
-      }
+      ker.meanshift_moments(gaussian, x.x, x.y, s, h2, hs2, r2, cloud.x.data() + begin,
+                            cloud.y.data() + begin, cloud.ls.data() + begin,
+                            cloud.w.data() + begin, end - begin, sums);
     });
+    const Point2 num_pos{sums[0], sums[1]};
+    const double num_s = sums[2];
+    const double denom = sums[3];
     if (denom <= 0.0) return Mode{x, s, 0.0};  // seed stranded in empty space
 
     const Point2 new_pos = (1.0 / denom) * num_pos;

@@ -3,10 +3,11 @@
 // Resolution, in priority order:
 //   1. force_tier(t)            — programmatic override (tests, bench sweeps)
 //   2. RADLOC_SIMD env variable — scalar | sse2 | avx2 | auto, read once
-//   3. default: scalar          — the deterministic reference tier, whose
-//                                 kernels reproduce the seed's expressions
+//   3. default: detected_tier() — the best tier the host runs (an unset,
+//                                 empty or unrecognised knob lands here)
 // Every request clamps down to detected_tier(): asking for avx2 on an
-// SSE2-only host yields sse2; on non-x86, scalar.
+// SSE2-only host yields sse2; on non-x86, scalar. RADLOC_SIMD=scalar pins
+// the portable tier, the reference the vector tiers are tested against.
 #include <array>
 #include <atomic>
 #include <cstdio>
@@ -38,16 +39,16 @@ Tier clamp_to_detected(Tier t) {
 EnvResolution resolve_env() {
   const char* v = std::getenv("RADLOC_SIMD");
   if (v == nullptr || *v == '\0') {
-    return {Tier::kScalar, false};
+    return {detected_tier(), false};
   }
   if (const auto t = parse_tier(v)) {
     return {clamp_to_detected(*t), std::strcmp(v, "auto") != 0};
   }
   std::fprintf(stderr,
                "radloc: ignoring unrecognized RADLOC_SIMD='%s' "
-               "(expected scalar|sse2|avx2|auto); using scalar\n",
-               v);
-  return {Tier::kScalar, false};
+               "(expected scalar|sse2|avx2|auto); using %s\n",
+               v, tier_name(detected_tier()));
+  return {detected_tier(), false};
 }
 
 const EnvResolution& env_resolution() {

@@ -73,7 +73,7 @@ constexpr Kernels kAvx2Table{
     &avx2_impl::k_hypothesis_rates,
     &avx2_impl::k_max_value,
     &avx2_impl::k_exp_shifted,
-    &avx2_impl::k_meanshift_profile,
+    &avx2_impl::k_meanshift_moments,
 };
 }  // namespace
 

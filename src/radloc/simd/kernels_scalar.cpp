@@ -3,9 +3,9 @@
 // Every function here replays the exact expression, evaluation order and
 // edge semantics of the seed's per-element code (PoissonLogPmf,
 // expected_cpm_single_free_space, the filter's max/exp renormalization,
-// MeanShiftEstimator::ascend), so routing
-// the hot paths through this tier changes no bit of any result. The vector
-// tiers are validated against these functions by tests/test_simd.cpp.
+// MeanShiftEstimator::ascend's step), so routing the hot paths through this
+// tier changes no bit of any result. It is the portable tier and the
+// reference tests/test_simd.cpp validates the vector tiers against.
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -71,20 +71,23 @@ void exp_shifted(const double* v, double shift, double* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = std::exp(v[i] - shift);
 }
 
-void meanshift_profile(bool gaussian, double cx, double cy, double s, double h2, double hs2,
+// MeanShiftEstimator::ascend's per-slot step: a zero slot would add only
+// signed zeros to sums that start at +0, so skipping it changes no bit.
+void meanshift_moments(bool gaussian, double cx, double cy, double s, double h2, double hs2,
                        double r2, const double* x, const double* y, const double* log_strength,
-                       const double* w, double* out, std::size_t n) {
+                       const double* w, std::size_t n, double* sums) {
   for (std::size_t i = 0; i < n; ++i) {
     const double dx = x[i] - cx;
     const double dy = y[i] - cy;
     const double d2 = dx * dx + dy * dy;
-    if (!(d2 <= r2 && w[i] > 0.0)) {
-      out[i] = 0.0;
-      continue;
-    }
+    if (!(d2 <= r2 && w[i] > 0.0)) continue;
     const double dls = log_strength[i] - s;
     const double e = 0.5 * (d2 / h2 + dls * dls / hs2);
-    out[i] = w[i] * (gaussian ? std::exp(-e) : std::max(0.0, 1.0 - e / 4.5));
+    const double k = w[i] * (gaussian ? std::exp(-e) : std::max(0.0, 1.0 - e / 4.5));
+    sums[0] += k * x[i];
+    sums[1] += k * y[i];
+    sums[2] += k * log_strength[i];
+    sums[3] += k;
   }
 }
 
@@ -93,7 +96,7 @@ void meanshift_profile(bool gaussian, double cx, double cy, double s, double h2,
 const Kernels* scalar_kernels() {
   static const Kernels kTable{
       Tier::kScalar,     "scalar",   &poisson_log_pmf_multi, &poisson_log_pmf_fused,
-      &hypothesis_rates, &max_value, &exp_shifted,           &meanshift_profile,
+      &hypothesis_rates, &max_value, &exp_shifted,           &meanshift_moments,
   };
   return &kTable;
 }

@@ -70,7 +70,7 @@ constexpr Kernels kSse2Table{
     &sse2_impl::k_hypothesis_rates,
     &sse2_impl::k_max_value,
     &sse2_impl::k_exp_shifted,
-    &sse2_impl::k_meanshift_profile,
+    &sse2_impl::k_meanshift_moments,
 };
 }  // namespace
 

@@ -2,29 +2,29 @@
 // tier table (AVX2 -> SSE2 -> scalar).
 //
 // The three kernels the profile names — Poisson log-PMF scoring, the
-// mean-shift Gaussian profile, and the exp-and-renormalize pass — are bound
-// by scalar log/exp. Each is exposed here as a batch function over
-// contiguous arrays, implemented three times:
+// mean-shift step, and the exp-and-renormalize pass — are bound by scalar
+// log/exp. Each is exposed here as a batch function over contiguous
+// arrays, implemented three times:
 //
-//   scalar  reference tier, bit-identical to the seed's per-element code
-//           (std::log / std::exp, same expression order); compiled on every
-//           platform.
+//   scalar  portable reference tier (std::log / std::exp, per-element
+//           expressions in the order the callers once ran them); compiled
+//           on every platform.
 //   sse2    2-lane vector tier (x86 only).
 //   avx2    4-lane vector tier (x86 only).
 //
-// Determinism policy (DESIGN.md §5.7): the DEFAULT tier is scalar, so a
-// build that never touches the knob evaluates every kernel with the seed's
-// per-element expressions. Vector tiers are opt-in — RADLOC_SIMD=sse2|avx2
-// (or `auto` for the best the host supports), or force_tier()
-// programmatically — and replace
-// libm log/exp with polynomial vector versions accurate to ~1 ulp relative;
-// the parity suite (tests/test_simd.cpp) pins them against scalar at
-// tolerance. Everything else in the tables (rates, max scans,
-// Epanechnikov) is exact elementwise arithmetic and stays
-// bit-identical across tiers. All kernels are elementwise (remainder lanes
-// are computed through the same vector path via a padded tail), so results
-// do not depend on how a caller chunks a range — thread-count determinism
-// is preserved within every tier.
+// Tier policy (DESIGN.md §5.7): the DEFAULT tier is the best one the host
+// supports (detected_tier()). RADLOC_SIMD=scalar (or force_tier())
+// pins the portable tier, which is what non-x86 builds run and what the
+// parity suite (tests/test_simd.cpp) measures the vector tiers against.
+// Vector tiers replace libm log/exp with polynomial vector versions
+// accurate to ~1 ulp relative and sum the mean-shift step lane-wise; rates
+// and max scans are exact elementwise arithmetic. On the default filter
+// path the tier cannot reach the particle cloud (§5.7 explains why), so
+// the choice moves estimates by rounding only. Elementwise kernels push remainder
+// lanes through the same vector path via a padded tail, so their results
+// never depend on how a caller chunks a range; the one reducing kernel,
+// meanshift_moments, is called on ranges the caller fixes (grid rows), so
+// results stay bit-identical across thread counts within every tier.
 //
 // Thread safety: kernels are pure functions over caller-owned buffers and
 // can be fanned out freely. force_tier()/reset_tier() swap a global and
@@ -79,18 +79,24 @@ struct Kernels {
   /// `out` may fully alias `v` (renormalize in place).
   void (*exp_shifted)(const double* v, double shift, double* out, std::size_t n);
 
-  /// Mean-shift profile weights at center (cx, cy, s), truncated at the
-  /// squared spatial radius r2. With d2 = (x-cx)^2 + (y-cy)^2 (exact seed
-  /// order) and e = 0.5 * (d2 / h2 + (ls - s)^2 / hs2):
-  ///   gaussian:     out[i] = w[i] * exp(-e)
-  ///   epanechnikov: out[i] = w[i] * max(0, 1 - e/4.5)   (exact, all tiers)
-  /// except that a slot with d2 > r2 or w[i] <= 0 is exactly +0 in every
-  /// tier (the scalar tier skips its exp), so a caller may sum k_i * v_i
-  /// over a superset of the in-radius points and get the same sums.
-  void (*meanshift_profile)(bool gaussian, double cx, double cy, double s, double h2, double hs2,
-                            double r2, const double* x, const double* y,
-                            const double* log_strength, const double* w, double* out,
-                            std::size_t n);
+  /// One mean-shift step's moments over a slot range, centre (cx, cy, s)
+  /// truncated at the squared spatial radius r2. With
+  /// d2 = (x-cx)^2 + (y-cy)^2 and e = 0.5 * (d2 / h2 + (ls - s)^2 / hs2),
+  ///   gaussian:     k_i = w[i] * exp(-e)
+  ///   epanechnikov: k_i = w[i] * max(0, 1 - e/4.5)
+  /// and k_i = 0 for a slot with d2 > r2 or w[i] <= 0. Adds Σk·x, Σk·y,
+  /// Σk·ls and Σk to sums[0..3] (the caller zeroes them once per step).
+  /// The scalar tier adds slot by slot in range order and skips the
+  /// zero slots, so a caller summing row after row gets the sums of a
+  /// per-neighbour loop bit for bit. Vector tiers skip a lane block with
+  /// no in-radius positive-weight slot (no division, no exp), accumulate
+  /// lane-wise (multiply, then add) and fold the lanes into sums in lane
+  /// order at the end of the call: deterministic for a given range, within
+  /// rounding of the scalar sums.
+  void (*meanshift_moments)(bool gaussian, double cx, double cy, double s, double h2,
+                            double hs2, double r2, const double* x, const double* y,
+                            const double* log_strength, const double* w, std::size_t n,
+                            double* sums);
 };
 
 /// Best tier the host supports (cached after first call). Non-x86 builds
@@ -99,9 +105,9 @@ struct Kernels {
 
 /// The tier kernels() currently resolves to. Resolution order: a
 /// force_tier() override wins; otherwise the RADLOC_SIMD environment knob
-/// (scalar|sse2|avx2|auto), read once; otherwise kScalar — the
-/// deterministic default. Requests above detected_tier() clamp down
-/// (AVX2 -> SSE2 -> scalar).
+/// (scalar|sse2|avx2|auto), read once; otherwise detected_tier(). An
+/// unrecognised knob value warns on stderr and resolves like an unset one.
+/// Requests above detected_tier() clamp down (AVX2 -> SSE2 -> scalar).
 [[nodiscard]] Tier active_tier();
 
 /// Programmatic knob (tests/bench sweeps): route kernels() to `t`,

@@ -549,30 +549,38 @@ std::uint64_t run_golden_sweeps(FusionParticleFilter& filter, const Scenario& sc
 }
 
 TEST(FusionFilter, DefaultPathMatchesGolden) {
-  // Fingerprints of scenario A, three sweeps, fixed seeds, scalar tier, for
-  // the static path and the random-walk path (whose predict step moves the
-  // fusion subset before it is rescored). Both were captured at the commit
-  // after 71e7fa5, which introduced per-reading random streams, the
-  // ziggurat normal sampler, the one-pass local resample and the slotted
-  // particle index. The test pins determinism, not the seed's numbers: any
-  // change to the per-reading path (selection, predict, rates, Poisson
-  // scoring, resample, index upkeep) shows up here, and a deliberate one
-  // re-captures both values.
-  simd::force_tier(simd::Tier::kScalar);
-  const Scenario sc = make_scenario_a(10.0);
-  FilterConfig cfg;
-  cfg.num_particles = 600;
-  cfg.fusion_range = sc.recommended_fusion_range;
-  FusionParticleFilter still(sc.env, sc.sensors, cfg, Rng(42));
-  const std::uint64_t h_static = run_golden_sweeps(still, sc);
-  FusionParticleFilter walking(sc.env, sc.sensors, cfg, Rng(42));
-  walking.set_movement_model(std::make_unique<RandomWalkMovement>(1.0));
-  const std::uint64_t h_walk = run_golden_sweeps(walking, sc);
-  simd::reset_tier();
-  EXPECT_EQ(h_static, 0x2ccff47c01c490d8ULL) << "default filter path drifted";
-  EXPECT_EQ(still.resamples_skipped(), 0u);
-  EXPECT_EQ(h_walk, 0x659a470e54e7ec42ULL) << "random-walk filter path drifted";
-  EXPECT_GT(walking.resamples_performed(), 0u);
+  // Fingerprints of scenario A, three sweeps, fixed seeds, for the static
+  // path and the random-walk path (whose predict step moves the fusion
+  // subset before it is rescored). Both were captured at the commit after
+  // 71e7fa5, which introduced per-reading random streams, the ziggurat
+  // normal sampler, the one-pass local resample and the slotted particle
+  // index. The test pins determinism, not the seed's numbers: any change to
+  // the per-reading path (selection, predict, rates, Poisson scoring,
+  // resample, index upkeep) shows up here, and a deliberate one re-captures
+  // both values. The same two values hold at every SIMD tier from scalar to
+  // the detected (default) one: the tier's log/exp rounding reaches only
+  // the resample's picks, never a slot's value, and no pick flips here
+  // (DESIGN.md §5.7).
+  for (int t = 0; t <= static_cast<int>(simd::detected_tier()); ++t) {
+    const auto tier = static_cast<simd::Tier>(t);
+    simd::force_tier(tier);
+    const Scenario sc = make_scenario_a(10.0);
+    FilterConfig cfg;
+    cfg.num_particles = 600;
+    cfg.fusion_range = sc.recommended_fusion_range;
+    FusionParticleFilter still(sc.env, sc.sensors, cfg, Rng(42));
+    const std::uint64_t h_static = run_golden_sweeps(still, sc);
+    FusionParticleFilter walking(sc.env, sc.sensors, cfg, Rng(42));
+    walking.set_movement_model(std::make_unique<RandomWalkMovement>(1.0));
+    const std::uint64_t h_walk = run_golden_sweeps(walking, sc);
+    simd::reset_tier();
+    EXPECT_EQ(h_static, 0x2ccff47c01c490d8ULL)
+        << "default filter path drifted at " << simd::tier_name(tier);
+    EXPECT_EQ(still.resamples_skipped(), 0u);
+    EXPECT_EQ(h_walk, 0x659a470e54e7ec42ULL)
+        << "random-walk filter path drifted at " << simd::tier_name(tier);
+    EXPECT_GT(walking.resamples_performed(), 0u);
+  }
 }
 
 /// A filter of one shape and the readings it is fed: `steps` sweeps of the

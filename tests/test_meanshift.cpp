@@ -265,12 +265,13 @@ std::uint64_t hash_estimates(const std::vector<SourceEstimate>& estimates) {
   return h;
 }
 
-/// Pins the scalar tier for a test's lifetime.
-struct ScalarTier {
-  ScalarTier() { simd::force_tier(simd::Tier::kScalar); }
-  ~ScalarTier() { simd::reset_tier(); }
-  ScalarTier(const ScalarTier&) = delete;
-  ScalarTier& operator=(const ScalarTier&) = delete;
+/// Pins a SIMD tier (the scalar one unless told otherwise) for a test's
+/// lifetime.
+struct PinnedTier {
+  explicit PinnedTier(simd::Tier t = simd::Tier::kScalar) { simd::force_tier(t); }
+  ~PinnedTier() { simd::reset_tier(); }
+  PinnedTier(const PinnedTier&) = delete;
+  PinnedTier& operator=(const PinnedTier&) = delete;
 };
 
 /// Clusters centred on and beyond the area's edges, jittered without
@@ -376,6 +377,29 @@ std::vector<GoldenCase> golden_cases() {
   };
 }
 
+/// Runs every golden case at the pinned tier on one and on four threads:
+/// the one-thread hash must be `want(case index)` and the four-thread
+/// answer must hash the same.
+template <typename Want>
+void expect_golden_hashes(Want want) {
+  ThreadPool serial(1);
+  ThreadPool parallel(4, /*max_fanout=*/4);
+  const auto cases = golden_cases();
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const GoldenCase& gc = cases[c];
+    MeanShiftEstimator est_s(gc.bounds, gc.cfg, serial);
+    MeanShiftEstimator est_p(gc.bounds, gc.cfg, parallel);
+    const Cloud& cloud = gc.cloud;
+    const auto modes = est_s.estimate(cloud.positions, cloud.strengths, cloud.weights);
+    EXPECT_GE(modes.size(), 1u) << gc.name;
+    const std::uint64_t h = hash_estimates(modes);
+    EXPECT_EQ(h, want(c, gc)) << gc.name << " at " << simd::tier_name(simd::active_tier())
+                              << ": 0x" << std::hex << h;
+    EXPECT_EQ(hash_estimates(est_p.estimate(cloud.positions, cloud.strengths, cloud.weights)), h)
+        << gc.name;
+  }
+}
+
 TEST(MeanShiftGolden, ScalarTierOutputMatchesGolden) {
   // Mean-shift output on fixed clouds, bit for bit, at the scalar tier, at
   // one and at four threads. The first seven hashes were captured from the
@@ -383,27 +407,59 @@ TEST(MeanShiftGolden, ScalarTierOutputMatchesGolden) {
   // grid radius query, before the climb moved onto a cell-ordered copy; the
   // support-pass cases from the estimator that scanned every kept mode for
   // every particle, before the scan moved onto per-cell candidate lists.
-  const ScalarTier scalar;
-  ThreadPool serial(1);
-  ThreadPool parallel(4, /*max_fanout=*/4);
-  for (const GoldenCase& gc : golden_cases()) {
-    MeanShiftEstimator est_s(gc.bounds, gc.cfg, serial);
-    MeanShiftEstimator est_p(gc.bounds, gc.cfg, parallel);
-    const Cloud& cloud = gc.cloud;
-    const auto modes = est_s.estimate(cloud.positions, cloud.strengths, cloud.weights);
-    EXPECT_GE(modes.size(), 1u) << gc.name;
-    const std::uint64_t h = hash_estimates(modes);
-    EXPECT_EQ(h, gc.golden) << gc.name << ": 0x" << std::hex << h;
-    EXPECT_EQ(hash_estimates(est_p.estimate(cloud.positions, cloud.strengths, cloud.weights)), h)
-        << gc.name;
-  }
+  const PinnedTier scalar;
+  expect_golden_hashes([](std::size_t, const GoldenCase& gc) { return gc.golden; });
+}
+
+/// golden_cases()' hashes at the vector tiers, case for case, captured
+/// when the detected tier became the default. The vector tiers' exp differs
+/// from libm's by about an ulp and their step sums run in lanes, so each
+/// tier has its own hashes.
+struct VectorGolden {
+  const char* name;
+  std::uint64_t sse2;
+  std::uint64_t avx2;
+};
+
+const std::vector<VectorGolden>& vector_goldens() {
+  static const std::vector<VectorGolden> goldens{
+      {"A/1", 0xccb22d1cb476c10aULL, 0xea01ba782aaedbaeULL},
+      {"A/2", 0x1ec809afcdb78461ULL, 0x3b0bacdc77db5313ULL},
+      {"A3+U/1", 0x4dc8e1efd3b4a7b8ULL, 0xb32c2c863d61dd26ULL},
+      {"A3+U/2", 0x64746eaeec8657e8ULL, 0x79660be8b81e5e08ULL},
+      {"C/1", 0x1f026b8a8f6dbed0ULL, 0x88cf30df5f5a8f13ULL},
+      {"C/2", 0x69ef0b261007d408ULL, 0xb840103c61b1324eULL},
+      {"A/1 epanechnikov", 0x0ba56e2f5f23e755ULL, 0xbbf743e3a8d7a3f7ULL},
+      {"border/1", 0x6bb6e69538d42909ULL, 0x4a35ed1b4ba3c44bULL},
+      {"border/2", 0x3cca92cb3b6780d2ULL, 0x84e1131a5aa855a0ULL},
+      {"ties", 0xb7624f5c960b987cULL, 0x50781214af53b063ULL},
+      {"A/1 merge 14", 0x50a2e6a07dc6f405ULL, 0x1440126d275f6057ULL},
+      {"C/1 merge 22", 0xc180fa3a526712ffULL, 0xab3394cb221f3fc4ULL},
+      {"A/1 h 0.6", 0x932cb5d9d4624422ULL, 0x44a5eac1c034cb88ULL},
+      {"border/1 h 0.8", 0x738d9e0364d955abULL, 0xf817495692da716dULL},
+  };
+  return goldens;
+}
+
+TEST(MeanShiftGolden, DetectedTierOutputMatchesGolden) {
+  // The default path's determinism pin: the golden clouds at the detected
+  // tier (what an unset RADLOC_SIMD runs), at one and at four threads.
+  const simd::Tier tier = simd::detected_tier();
+  if (tier == simd::Tier::kScalar) GTEST_SKIP() << "the host has no vector tier";
+  const PinnedTier pinned(tier);
+  const auto& goldens = vector_goldens();
+  ASSERT_EQ(goldens.size(), golden_cases().size());
+  expect_golden_hashes([&](std::size_t c, const GoldenCase& gc) {
+    EXPECT_STREQ(goldens[c].name, gc.name);
+    return tier == simd::Tier::kAvx2 ? goldens[c].avx2 : goldens[c].sse2;
+  });
 }
 
 TEST(MeanShiftGolden, TieCloudClimbsToTheStacksAndSeedsNoTieParticle) {
   // The tie case above holds only if the construction does: both stacks
   // are reported at their exact positions, no seed is a tie particle, and
   // the tie particles' weight lands on the denser stack.
-  const ScalarTier scalar;
+  const PinnedTier scalar;
   ThreadPool serial(1);
   const Cloud cloud = make_tie_cloud(3);
   MeanShiftEstimator est(make_area(100.0, 100.0), MeanShiftConfig{}, serial);

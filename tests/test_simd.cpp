@@ -7,12 +7,16 @@
 //     <= 0, denormals, inf, NaN, k = 0, k < 0, out-of-range exp args) —
 //     those lanes are patched with the scalar expression — and to ~1 ulp
 //     relative on in-range log/exp;
-//   * everything that is pure arithmetic (rates, max, Epanechnikov) is
+//   * everything that is pure elementwise arithmetic (rates, max) is
 //     bit-identical across ALL tiers;
 //   * remainder lanes (n % width != 0) go through the same padded vector
-//     path, so results never depend on how a range is chunked.
+//     path, so elementwise results never depend on how a range is chunked;
+//   * the mean-shift step's moments match a sequential loop bit for bit at
+//     the scalar tier and within a magnitude-scaled tolerance at vector
+//     tiers, and a range with nothing in radius leaves them untouched.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -24,6 +28,8 @@
 
 #include "radloc/common/math.hpp"
 #include "radloc/concurrency/thread_pool.hpp"
+#include "radloc/core/localizer.hpp"
+#include "radloc/eval/scenarios.hpp"
 #include "radloc/filter/particle_filter.hpp"
 #include "radloc/geom/polygon.hpp"
 #include "radloc/meanshift/meanshift.hpp"
@@ -464,73 +470,120 @@ TEST(SimdExp, ParityInRangeAndExactOnPatchedLanes) {
 }
 
 // ---------------------------------------------------------------------------
-// Mean-shift profile
+// Mean-shift step moments
 
-TEST(SimdMeanShift, GaussianParityAndEpanechnikovExactAcrossTiers) {
-  const double cx = 20.0;
-  const double cy = 30.0;
+/// A slot range for the mean-shift kernel around (20, 30, log 50): a square
+/// reaching past the 3h radius in its corners, with zero-weight, -0-weight,
+/// negative-weight, far-out (e >= 708) and patch-path (in radius, huge
+/// log-strength gap) slots mixed in.
+struct MomentsRange {
+  static constexpr double cx = 20.0;
+  static constexpr double cy = 30.0;
+  static constexpr double h2 = 25.0;
+  static constexpr double hs2 = 0.5625;
+  static constexpr double r2 = 9.0 * h2;  // the 3h truncation radius
   const double cs = std::log(50.0);
-  const double h2 = 25.0;
-  const double hs2 = 0.5625;
-  const double r2 = 9.0 * h2;  // the 3h truncation radius
-  for (const std::size_t n : kSizes) {
+  std::vector<double> x;
+  std::vector<double> y;
+  std::vector<double> ls;
+  std::vector<double> w;
+
+  explicit MomentsRange(std::size_t n) : x(n), y(n), ls(n), w(n) {
     Rng rng(909 + n);
-    std::vector<double> x(n);
-    std::vector<double> y(n);
-    std::vector<double> ls(n);
-    std::vector<double> w(n);
     for (std::size_t i = 0; i < n; ++i) {
-      // The square [5, 35] x [15, 45] reaches past the radius in its corners.
       x[i] = uniform(rng, 5.0, 35.0);
       y[i] = uniform(rng, 15.0, 45.0);
       ls[i] = uniform(rng, std::log(1.0), std::log(1000.0));
       w[i] = uniform01(rng);
-      switch (i % 9) {
-        case 2: w[i] = 0.0; break;                 // zero weight
-        case 5: w[i] = -0.0; break;                // negative zero
-        case 7: x[i] = 1e4; break;                 // far out: e >= 708
-        case 8: ls[i] = 60.0; break;               // in reach of the patch path
+      switch (i % 11) {
+        case 2: w[i] = 0.0; break;    // zero weight
+        case 5: w[i] = -0.0; break;   // negative zero
+        case 6: w[i] = -0.3; break;   // negative weight
+        case 7: x[i] = 1e4; break;    // far out: e >= 708
+        case 8: ls[i] = 60.0; break;  // in radius, in reach of the patch path
         default: break;
       }
     }
+  }
+
+  void run(simd::Tier t, bool gaussian, double* sums) const {
+    simd::kernels_for(t).meanshift_moments(gaussian, cx, cy, cs, h2, hs2, r2, x.data(), y.data(),
+                                           ls.data(), w.data(), x.size(), sums);
+  }
+};
+
+TEST(SimdMeanShift, ScalarMomentsMatchSequentialLoopAndVectorTiersWithinTolerance) {
+  // The reference is the step ascend() ran before the kernel was fused: a
+  // profile that is exactly +0 outside the radius or without weight, then
+  // four running sums over every slot in order. The scalar tier must match
+  // it bit for bit (skipping the zero slots included); vector tiers within
+  // a tolerance scaled by the summed term magnitudes.
+  const double start[4] = {1.5, -2.25, 0.5, 3.0};
+  for (const std::size_t n : kSizes) {
+    const MomentsRange r(n);
     for (const bool gaussian : {true, false}) {
-      std::vector<double> want(n);
+      double want[4] = {start[0], start[1], start[2], start[3]};
+      double mag[4] = {0.0, 0.0, 0.0, 0.0};
       std::size_t zeroed = 0;
       for (std::size_t i = 0; i < n; ++i) {
-        const double dx = x[i] - cx;
-        const double dy = y[i] - cy;
-        const double dls = ls[i] - cs;
-        if (dx * dx + dy * dy > r2 || w[i] <= 0.0) {
-          want[i] = 0.0;
+        const double dx = r.x[i] - r.cx;
+        const double dy = r.y[i] - r.cy;
+        const double dls = r.ls[i] - r.cs;
+        double k = 0.0;
+        if (dx * dx + dy * dy <= r.r2 && r.w[i] > 0.0) {
+          const double e = 0.5 * ((dx * dx + dy * dy) / r.h2 + dls * dls / r.hs2);
+          k = gaussian ? r.w[i] * std::exp(-e) : r.w[i] * std::max(0.0, 1.0 - e / 4.5);
+        } else {
           ++zeroed;
-          continue;
         }
-        const double e = 0.5 * ((dx * dx + dy * dy) / h2 + dls * dls / hs2);
-        want[i] = gaussian ? w[i] * std::exp(-e) : w[i] * std::max(0.0, 1.0 - e / 4.5);
+        const double terms[4] = {k * r.x[i], k * r.y[i], k * r.ls[i], k};
+        for (std::size_t m = 0; m < 4; ++m) {
+          want[m] += terms[m];
+          mag[m] += std::abs(terms[m]);
+        }
       }
-      if (n >= 9) {
+      if (n >= 11) {
         ASSERT_GT(zeroed, 0u);
       }
-      // Scalar tier: seed expression bit for bit, exact +0 outside.
-      std::vector<double> scalar_out(n, kNan);
-      simd::kernels_for(simd::Tier::kScalar)
-          .meanshift_profile(gaussian, cx, cy, cs, h2, hs2, r2, x.data(), y.data(), ls.data(),
-                             w.data(), scalar_out.data(), n);
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_TRUE(same_bits(scalar_out[i], want[i])) << "gaussian=" << gaussian << " i=" << i;
-      }
       for (const auto t : host_tiers()) {
-        std::vector<double> got(n, kNan);
-        simd::kernels_for(t).meanshift_profile(gaussian, cx, cy, cs, h2, hs2, r2, x.data(),
-                                               y.data(), ls.data(), w.data(), got.data(), n);
-        for (std::size_t i = 0; i < n; ++i) {
-          if (gaussian && !same_bits(want[i], 0.0)) {
-            ASSERT_NEAR(got[i], want[i], 1e-13 * (want[i] + 1.0))
-                << simd::tier_name(t) << " n=" << n << " i=" << i;
+        double got[4] = {start[0], start[1], start[2], start[3]};
+        r.run(t, gaussian, got);
+        for (std::size_t m = 0; m < 4; ++m) {
+          if (t == simd::Tier::kScalar) {
+            ASSERT_TRUE(same_bits(got[m], want[m]))
+                << "gaussian=" << gaussian << " n=" << n << " m=" << m << " " << hex_bits(got[m])
+                << " vs " << hex_bits(want[m]);
           } else {
-            // Epanechnikov is exact arithmetic in every tier, and a slot
-            // outside the radius or without weight is +0 in every tier.
-            ASSERT_TRUE(same_bits(got[i], want[i])) << simd::tier_name(t) << " i=" << i;
+            ASSERT_NEAR(got[m], want[m], 1e-13 * (mag[m] + 1.0))
+                << simd::tier_name(t) << " gaussian=" << gaussian << " n=" << n << " m=" << m;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdMeanShift, RangeWithoutInRadiusSlotLeavesSumsUnchanged) {
+  // Every slot outside the radius or without positive weight: every tier
+  // must leave the sums bit for bit as they were, signed zeros included.
+  for (const std::size_t n : kSizes) {
+    MomentsRange r(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i % 2 == 0) {
+        r.x[i] += 40.0;  // beyond the radius
+      } else {
+        r.w[i] = i % 3 == 0 ? 0.0 : -std::abs(r.w[i]);  // zero or non-positive weight
+      }
+    }
+    for (const bool gaussian : {true, false}) {
+      for (const auto t : host_tiers()) {
+        for (const std::array<double, 4> start :
+             {std::array<double, 4>{0.0, 0.0, 0.0, 0.0}, std::array<double, 4>{-0.0, 1.0, -2.0, -0.0}}) {
+          double got[4] = {start[0], start[1], start[2], start[3]};
+          r.run(t, gaussian, got);
+          for (std::size_t m = 0; m < 4; ++m) {
+            ASSERT_TRUE(same_bits(got[m], start[m]))
+                << simd::tier_name(t) << " gaussian=" << gaussian << " n=" << n << " m=" << m;
           }
         }
       }
@@ -579,6 +632,80 @@ TEST(SimdAdoption, FilterStaysNormalizedInEveryTier) {
     }
     EXPECT_NEAR(total, 1.0, 1e-9) << simd::tier_name(t);
   }
+}
+
+TEST(SimdAdoption, LocalizerCloudIsTierIndependentOnTheDefaultPath) {
+  // Two localizers, one at the scalar tier and one at the detected (default)
+  // tier, get the same readings. The tier's log/exp rounding reaches only
+  // the posterior, which only chooses the resample's picks; every slot gets
+  // its value from the prior, so the clouds must stay bit for bit equal
+  // after every step, and the estimates differ by rounding alone.
+  const simd::Tier vec = simd::detected_tier();
+  if (vec == simd::Tier::kScalar) GTEST_SKIP() << "the host has no vector tier";
+  struct World {
+    const char* name;
+    Scenario sc;
+  };
+  // A3 carries the U obstacle, but the filter is not told (free space).
+  const std::vector<World> worlds{
+      {"A", make_scenario_a(10.0)},
+      {"A3+U unknown", make_scenario_a3(10.0, 5.0, /*with_obstacle=*/true)},
+      {"C", make_scenario_c()},
+  };
+  const auto near = [](double a, double b) {
+    return std::abs(a - b) <= 1e-9 * std::max(std::abs(a), std::abs(b));
+  };
+  std::size_t estimates_compared = 0;
+  for (const World& w : worlds) {
+    for (const std::uint64_t seed : {61u, 62u}) {
+      SCOPED_TRACE(::testing::Message() << w.name << " seed " << seed);
+      LocalizerConfig cfg;
+      cfg.filter.num_particles = w.sc.recommended_particles;
+      cfg.filter.fusion_range = w.sc.recommended_fusion_range;
+      ThreadPool pool(2, /*max_fanout=*/2);
+      MultiSourceLocalizer scalar(w.sc.env, w.sc.sensors, cfg, seed, &pool);
+      MultiSourceLocalizer vector(w.sc.env, w.sc.sensors, cfg, seed, &pool);
+      MeasurementSimulator sim(w.sc.env, w.sc.sensors, w.sc.sources);
+      Rng noise(seed + 100);
+      for (int step = 1; step <= 20; ++step) {
+        const std::vector<Measurement> batch = sim.sample_time_step(noise);
+        std::vector<SourceEstimate> est_s;
+        std::vector<SourceEstimate> est_v;
+        {
+          TierGuard guard(simd::Tier::kScalar);
+          scalar.process_all(batch);
+          est_s = scalar.estimate();
+        }
+        {
+          TierGuard guard(vec);
+          vector.process_all(batch);
+          est_v = vector.estimate();
+        }
+        const FusionParticleFilter& fs = scalar.filter();
+        const FusionParticleFilter& fv = vector.filter();
+        ASSERT_EQ(fs.size(), fv.size());
+        for (std::size_t i = 0; i < fs.size(); ++i) {
+          ASSERT_TRUE(same_bits(fs.positions()[i].x, fv.positions()[i].x))
+              << "step " << step << " i=" << i;
+          ASSERT_TRUE(same_bits(fs.positions()[i].y, fv.positions()[i].y))
+              << "step " << step << " i=" << i;
+          ASSERT_TRUE(same_bits(fs.strengths()[i], fv.strengths()[i]))
+              << "step " << step << " i=" << i;
+          ASSERT_TRUE(same_bits(fs.weights()[i], fv.weights()[i]))
+              << "step " << step << " i=" << i;
+        }
+        ASSERT_EQ(est_s.size(), est_v.size()) << "step " << step;
+        for (std::size_t k = 0; k < est_s.size(); ++k) {
+          EXPECT_TRUE(near(est_s[k].pos.x, est_v[k].pos.x)) << "step " << step << " k=" << k;
+          EXPECT_TRUE(near(est_s[k].pos.y, est_v[k].pos.y)) << "step " << step << " k=" << k;
+          EXPECT_TRUE(near(est_s[k].strength, est_v[k].strength))
+              << "step " << step << " k=" << k;
+          ++estimates_compared;
+        }
+      }
+    }
+  }
+  EXPECT_GT(estimates_compared, 100u);
 }
 
 TEST(SimdAdoption, MeanShiftModesAgreeAcrossTiers) {

@@ -14,8 +14,8 @@ one filter iteration).
 Rows are matched on (scenario, config, metric, threads); the direction of
 "better" is inferred from the metric name (rates and speedups up, times and
 errors down). Changes beyond the threshold (default 15%) are printed as
-REGRESSION or IMPROVEMENT lines. Rows recorded as repetitions (table1,
-experiment_throughput) hold their median as the value and their min and
+REGRESSION or IMPROVEMENT lines. Rows recorded as repetitions (every
+default bench's rows) hold their median as the value and their min and
 max beside it; the lines print both sides' ranges, and a fresh median
 inside the baseline's range is marked as such.
 

@@ -5,13 +5,14 @@
 #   tools/check.sh release    # any subset of: release asan tsan benchsmoke serve obs e2e
 #   RADLOC_CHECK_JOBS=8 tools/check.sh
 #
-# The release stage's ctest includes the `benchsmoke` label (every bench
-# binary in --smoke mode); pass `benchsmoke` as a stage to run only those.
-# The benchsmoke stage runs the label twice — once pinned to the portable
-# scalar SIMD tier (RADLOC_SIMD=scalar), once with RADLOC_SIMD=auto so the
-# dispatcher picks the host's best tier (an unset knob means scalar) — then
-# diffs the fresh bench JSON against the committed baselines with
-# tools/bench_compare.py
+# The release stage runs its ctest twice: at the default SIMD tier (an
+# unset RADLOC_SIMD resolves to the host's best tier) and pinned to the
+# portable scalar tier (RADLOC_SIMD=scalar), which non-x86 builds run.
+# Its ctest includes the `benchsmoke` label (every bench binary in --smoke
+# mode); pass `benchsmoke` as a stage to run only those. The benchsmoke
+# stage runs the label twice — pinned to the scalar tier, then with
+# RADLOC_SIMD=auto (the host's best tier) — then diffs the fresh bench
+# JSON against the committed baselines with tools/bench_compare.py
 # (informational: smoke numbers are noisy, so regressions never fail the
 # gauntlet here; run bench_compare.py --strict by hand on full runs).
 #
@@ -113,14 +114,19 @@ PYEOF
   fi
   echo "==> [$stage] ctest"
   if [ "$stage" = benchsmoke ]; then
-    # Both SIMD dispatch paths: forced-scalar (the bit-identical default
-    # tier) and auto (the host's detected tier, e.g. AVX2 on x86).
-    echo "==> [$stage] pass 1/2: RADLOC_SIMD=scalar"
+    # Both SIMD dispatch paths: pinned to the portable scalar tier, and
+    # auto (the host's detected tier, e.g. AVX2 on x86; also the default).
+    echo "==> [$stage] pass 1/2: RADLOC_SIMD=scalar (portable tier)"
     RADLOC_SIMD=scalar ctest --preset "$stage" -j "$jobs"
     echo "==> [$stage] pass 2/2: RADLOC_SIMD=auto (host tier)"
     RADLOC_SIMD=auto ctest --preset "$stage" -j "$jobs"
     echo "==> [$stage] bench_compare vs committed baselines (informational)"
     python3 tools/bench_compare.py --fresh-dir "build/$build_preset/bench" || true
+  elif [ "$stage" = release ]; then
+    echo "==> [$stage] pass 1/2: default tier (RADLOC_SIMD unset)"
+    env -u RADLOC_SIMD ctest --preset "$stage" -j "$jobs"
+    echo "==> [$stage] pass 2/2: RADLOC_SIMD=scalar (portable tier)"
+    RADLOC_SIMD=scalar ctest --preset "$stage" -j "$jobs"
   else
     ctest --preset "$stage" -j "$jobs"
   fi
