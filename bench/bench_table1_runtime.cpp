@@ -98,7 +98,6 @@ BENCHMARK(BM_Iteration)
     ->Args({15000, 1, 2})
     ->Args({15000, 0, 4})
     ->Args({15000, 1, 4})
-    ->Repetitions(bench::kRepetitions)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -119,9 +118,12 @@ int main(int argc, char** argv) {
   std::string fmt_flag = "--benchmark_out_format=json";
   std::string min_time_flag = "--benchmark_min_time=0.01";
   std::string filter_flag = "--benchmark_filter=particles:2000";
+  std::string reps_flag =
+      "--benchmark_repetitions=" + std::to_string(radloc::bench::kRepetitions);
   std::string interleave_flag = "--benchmark_enable_random_interleaving=true";
   radloc::bench::default_flag(args, out_flag);
   radloc::bench::default_flag(args, fmt_flag);
+  radloc::bench::default_flag(args, reps_flag);
   radloc::bench::default_flag(args, interleave_flag);
   if (radloc::bench::smoke()) {
     args.push_back(min_time_flag.data());

@@ -1,7 +1,8 @@
 // Repetitions for the google-benchmark binaries (bench_table1_runtime,
-// bench_weight_update, bench_micro). Each runs every row kRepetitions
-// times, randomly interleaved with the other rows' repetitions so host
-// drift spreads over all of them, collects one value per repetition with
+// bench_weight_update, bench_micro). Each passes google-benchmark
+// --benchmark_repetitions=kRepetitions and random interleaving unless the
+// caller set them (default_flag), so every row runs five times with host
+// drift spread over all rows; it collects one value per repetition with
 // RepetitionReporter and writes each row through JsonWriter::add_spread:
 // the median as `value`, with `min`, `max` and `reps`.
 #pragma once
@@ -24,17 +25,17 @@ inline constexpr int kRepetitions = 5;
 inline void default_flag(std::vector<char*>& args, std::string& flag) {
   const std::size_t name_len = flag.find('=');
   for (std::size_t i = 1; i < args.size(); ++i) {
-    const char after = std::strlen(args[i]) >= name_len ? args[i][name_len] : 'x';
-    if (std::strncmp(args[i], flag.c_str(), name_len) == 0 && (after == '=' || after == '\0')) {
+    // A prefix match guarantees args[i][name_len] exists (possibly '\0').
+    if (std::strncmp(args[i], flag.c_str(), name_len) == 0 &&
+        (args[i][name_len] == '=' || args[i][name_len] == '\0')) {
       return;
     }
   }
   args.push_back(flag.data());
 }
 
-/// Console reporter that keeps every repetition's value per benchmark,
-/// keyed by the benchmark's name without a repetition tag; aggregate rows
-/// and runs without a value are skipped.
+/// Console reporter that keeps every repetition's value per benchmark name;
+/// aggregate rows and runs without a value are skipped.
 class RepetitionReporter : public benchmark::ConsoleReporter {
  public:
   using Value = std::optional<double> (*)(const Run&);
@@ -45,9 +46,7 @@ class RepetitionReporter : public benchmark::ConsoleReporter {
       if (run.run_type != Run::RT_Iteration) continue;
       const std::optional<double> v = value_(run);
       if (!v) continue;
-      benchmark::BenchmarkName name = run.run_name;
-      name.repetitions.clear();
-      samples[name.str()].push_back(*v);
+      samples[run.benchmark_name()].push_back(*v);
     }
     ConsoleReporter::ReportRuns(runs);
   }

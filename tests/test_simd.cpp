@@ -16,11 +16,14 @@
 //     tiers, and a range with nothing in radius leaves them untouched.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <utility>
@@ -124,6 +127,22 @@ TEST(SimdDispatch, ForceTierRoutesTheActiveTable) {
   }
   EXPECT_EQ(simd::active_tier(), before);  // reset restores env/default resolution
   EXPECT_EQ(simd::kernels().tier, before);
+}
+
+TEST(SimdDispatch, KnobResolvesToTheDetectedTierUnlessItNamesOne) {
+  // An unset, empty, `auto` or unrecognised RADLOC_SIMD runs the host's
+  // best tier; a named tier is pinned, clamped to what the host supports.
+  // ctest runs this once per value tools/check.sh sets.
+  const char* knob = std::getenv("RADLOC_SIMD");
+  const auto named = simd::parse_tier(knob);
+  if (named.has_value() && std::strcmp(knob, "auto") != 0) {
+    EXPECT_EQ(simd::active_tier(), std::min(*named, simd::detected_tier()));
+    EXPECT_TRUE(simd::tier_pinned_by_env());
+  } else {
+    EXPECT_EQ(simd::active_tier(), simd::detected_tier());
+    EXPECT_FALSE(simd::tier_pinned_by_env());
+  }
+  EXPECT_EQ(simd::kernels().tier, simd::active_tier());
 }
 
 TEST(SimdDispatch, SweepTiersCoversScalarThroughDetected) {
@@ -513,11 +532,11 @@ struct MomentsRange {
 };
 
 TEST(SimdMeanShift, ScalarMomentsMatchSequentialLoopAndVectorTiersWithinTolerance) {
-  // The reference is the step ascend() ran before the kernel was fused: a
-  // profile that is exactly +0 outside the radius or without weight, then
-  // four running sums over every slot in order. The scalar tier must match
-  // it bit for bit (skipping the zero slots included); vector tiers within
-  // a tolerance scaled by the summed term magnitudes.
+  // The reference: a profile that is exactly +0 outside the radius or
+  // without weight, then four running sums over every slot in order. The
+  // scalar tier must match it bit for bit (so skipping the zero slots must
+  // change nothing); vector tiers within a tolerance scaled by the summed
+  // term magnitudes.
   const double start[4] = {1.5, -2.25, 0.5, 3.0};
   for (const std::size_t n : kSizes) {
     const MomentsRange r(n);
