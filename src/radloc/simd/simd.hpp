@@ -20,11 +20,12 @@
 // accurate to ~1 ulp relative and sum the mean-shift step lane-wise; rates
 // and max scans are exact elementwise arithmetic. On the default filter
 // path the tier cannot reach the particle cloud (§5.7 explains why), so
-// the choice moves estimates by rounding only. Elementwise kernels push remainder
-// lanes through the same vector path via a padded tail, so their results
-// never depend on how a caller chunks a range; the one reducing kernel,
-// meanshift_moments, is called on ranges the caller fixes (grid rows), so
-// results stay bit-identical across thread counts within every tier.
+// the choice moves estimates by rounding only. Elementwise kernels push
+// remainder lanes through the same vector path via a padded tail, so their
+// results never depend on how a caller chunks a range; the one reducing
+// kernel, meanshift_moments, is called on ranges the caller fixes (grid
+// rows), so results stay bit-identical across thread counts within every
+// tier.
 //
 // Thread safety: kernels are pure functions over caller-owned buffers and
 // can be fanned out freely. force_tier()/reset_tier() swap a global and
